@@ -1,6 +1,5 @@
 """Weighted translation dynamics on Orlicz spaces of locally compact groups."""
 
-from ._accel import ACTIVE as ACCEL_BACKEND, HAS_NUMBA
 from .dynamics import (
     ConditionReport,
     PeriodicPointResult,
@@ -44,6 +43,7 @@ from .young import (
 )
 
 __version__ = "0.1.0"
+ACCEL_BACKEND = "numpy"  # kernels in _accel are numpy only
 
 __all__ = [
     "ACCEL_BACKEND",
@@ -56,7 +56,6 @@ __all__ = [
     "Delta2Report",
     "GroupElement",
     "GroupModel",
-    "HAS_NUMBA",
     "OrliczVector",
     "PeriodicPointResult",
     "PowerLogYoung",

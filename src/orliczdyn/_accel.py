@@ -1,9 +1,4 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
-
-The fallback is selected when numba is missing or when the environment
-variable ORLICZ_DYN_NO_NUMBA is set to 1/true/yes.  Both implementations
-of every kernel are exported so tests and benchmarks can compare them;
-the module-level names without a suffix are the dispatched ones.
+"""Hot numeric kernels on numpy arrays.
 
 Young-function family codes used by the kernels:
     0  power      phi(t) = t**p / p
@@ -13,32 +8,16 @@ Young-function family codes used by the kernels:
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
 FAMILY_POWER = 0
 FAMILY_POWERLOG = 1
 FAMILY_CUSTOM = 2
 
-NUMBA_DISABLED = os.environ.get("ORLICZ_DYN_NO_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-}
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via ORLICZ_DYN_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+EMPTY_GRID = np.zeros(1, dtype=np.float64)
 
 
-def phi_values_numpy(ts, code, p, grid_t, grid_y):
+def phi_values(ts, code, p, grid_t, grid_y):
     """Vectorized phi on nonnegative inputs; custom out-of-grid -> +inf."""
     ts = np.asarray(ts, dtype=np.float64)
     if code == FAMILY_POWER:
@@ -54,46 +33,14 @@ def phi_values_numpy(ts, code, p, grid_t, grid_y):
     return out
 
 
-def modular_sum_numpy(abs_vals, k, mass, code, p, grid_t, grid_y):
+def modular_sum(abs_vals, k, mass, code, p, grid_t, grid_y):
     """mass * sum(phi(v / k)) over the value array."""
-    return mass * float(np.sum(phi_values_numpy(abs_vals / k, code, p, grid_t, grid_y)))
+    # the ndarray method skips np.sum's Python-level dispatch; the norm
+    # bisection calls this kernel dozens of times per vector
+    return mass * float(phi_values(abs_vals / k, code, p, grid_t, grid_y).sum())
 
 
-def _phi_values_loop(ts, code, p, grid_t, grid_y):
-    out = np.empty(ts.shape[0], dtype=np.float64)
-    for i in range(ts.shape[0]):
-        t = ts[i]
-        if code == FAMILY_POWER:
-            out[i] = t**p / p
-        elif code == FAMILY_POWERLOG:
-            out[i] = t**p * (1.0 + abs(math.log(t))) if t > 0.0 else 0.0
-        else:
-            if t > grid_t[-1]:
-                out[i] = np.inf
-            else:
-                out[i] = np.interp(t, grid_t, grid_y)
-    return out
-
-
-def _modular_sum_loop(abs_vals, k, mass, code, p, grid_t, grid_y):
-    if code == FAMILY_CUSTOM:
-        u = abs_vals / k
-        t_cap = grid_t[-1]
-        for i in range(u.shape[0]):
-            if u[i] > t_cap:
-                return np.inf
-        return mass * float(np.sum(np.interp(u, grid_t, grid_y)))
-    total = 0.0
-    for i in range(abs_vals.shape[0]):
-        t = abs_vals[i] / k
-        if code == FAMILY_POWER:
-            total += t**p / p
-        elif t > 0.0:
-            total += t**p * (1.0 + abs(math.log(t)))
-    return mass * total
-
-
-def clampexp_orbit_logs_numpy(units, pow_units, h, heisenberg, coord, log_base, lo, hi):
+def clampexp_orbit_logs(units, pow_units, h, heisenberg, coord, log_base, lo, hi):
     """Log-weights along orbits for the clamp-exponential weight rule.
 
     units:     (N, d) int64 start points in lattice units
@@ -110,57 +57,3 @@ def clampexp_orbit_logs_numpy(units, pow_units, h, heisenberg, coord, log_base, 
         )[None, :]
         real = real + tw * h * h
     return -np.clip(real, lo, hi) * log_base
-
-
-def _clampexp_orbit_logs_loop(units, pow_units, h, heisenberg, coord, log_base, lo, hi):
-    n_pts = units.shape[0]
-    n_steps = pow_units.shape[0]
-    out = np.empty((n_pts, n_steps), dtype=np.float64)
-    for i in range(n_pts):
-        xc = float(units[i, coord])
-        x0 = float(units[i, 0])
-        for j in range(n_steps):
-            real = (xc + float(pow_units[j, coord])) * h
-            if heisenberg and coord == 2:
-                real += x0 * float(pow_units[j, 1]) * h * h
-            c = real
-            if c < lo:
-                c = lo
-            elif c > hi:
-                c = hi
-            out[i, j] = -c * log_base
-    return out
-
-
-if HAS_NUMBA:
-    phi_values_numba = njit(cache=True)(_phi_values_loop)
-    modular_sum_numba = njit(cache=True)(_modular_sum_loop)
-    clampexp_orbit_logs_numba = njit(cache=True)(_clampexp_orbit_logs_loop)
-    phi_values = phi_values_numba
-    modular_sum = modular_sum_numba
-    clampexp_orbit_logs = clampexp_orbit_logs_numba
-    ACTIVE = "numba"
-else:
-    phi_values_numba = None
-    modular_sum_numba = None
-    clampexp_orbit_logs_numba = None
-    phi_values = phi_values_numpy
-    modular_sum = modular_sum_numpy
-    clampexp_orbit_logs = clampexp_orbit_logs_numpy
-    ACTIVE = "numpy"
-
-EMPTY_GRID = np.zeros(1, dtype=np.float64)
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel (no-op on the numpy path)."""
-    vals = np.array([0.5, 1.5], dtype=np.float64)
-    grid_t = np.array([0.0, 1.0, 2.0])
-    grid_y = np.array([0.0, 1.0, 4.0])
-    for code in (FAMILY_POWER, FAMILY_POWERLOG, FAMILY_CUSTOM):
-        phi_values(vals, code, 2.0, grid_t, grid_y)
-        modular_sum(vals, 1.0, 1.0, code, 2.0, grid_t, grid_y)
-    u = np.zeros((2, 3), dtype=np.int64)
-    a = np.ones((4, 3), dtype=np.int64)
-    clampexp_orbit_logs(u, a, 1.0, True, 2, math.log(2.0), -1.0, 1.0)
-    clampexp_orbit_logs(u, a, 1.0, False, 0, math.log(2.0), -1.0, 1.0)

@@ -52,12 +52,13 @@ class ConfigError(Exception):
 
 
 def _field(doc: dict, name: str, caster, default=None, required=True):
-    if name not in doc:
+    key = name.rpartition(".")[2]  # a dotted name locates a nested field in messages
+    if key not in doc:
         if required:
             raise ConfigError(f"field '{name}' is missing")
         return default
     try:
-        return caster(doc[name])
+        return caster(doc[key])
     except ConfigError:
         raise
     except Exception as exc:
@@ -105,30 +106,42 @@ def parse_config(doc: dict):
         )
     except dynamics.ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
-    witness_opts = None
-    if mode == "witness":
-        wdoc = doc.get("witness", {})
-        witness_opts = {
-            "n": int(wdoc["n"]) if "n" in wdoc else None,
-            "f": wdoc.get("f"),
-            "targets": wdoc.get("targets"),
-        }
+    witness_opts = _parse_witness(doc, scenario) if mode == "witness" else None
     return mode, scenario, witness_opts
 
 
-def _witness_vectors(scenario: Scenario, witness_opts):
-    if witness_opts.get("f") is not None:
-        f = OrliczVector.from_json_entries(scenario.model, witness_opts["f"])
-    else:
-        f = OrliczVector.indicator(scenario.K)
-    if witness_opts.get("targets") is not None:
-        targets = [
-            OrliczVector.from_json_entries(scenario.model, t)
-            for t in witness_opts["targets"]
-        ]
-    else:
-        targets = [OrliczVector.indicator(scenario.K) for _ in range(scenario.L)]
-    return f, targets
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+def _positive_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _parse_witness(doc: dict, scenario: Scenario) -> dict:
+    """{"n": int >= 1 or None, "f": vector, "targets": vectors}; f and each
+    target default to the indicator of K."""
+    wdoc = _field(doc, "witness", _object, default={}, required=False)
+    model, K = scenario.model, scenario.K
+
+    def vector(entries):
+        return OrliczVector.from_json_entries(model, entries)
+
+    return {
+        "n": _field(wdoc, "witness.n", _positive_int, required=False),
+        "f": _field(wdoc, "witness.f", vector, OrliczVector.indicator(K), required=False),
+        "targets": _field(
+            wdoc,
+            "witness.targets",
+            lambda ts: [vector(t) for t in ts],
+            [OrliczVector.indicator(K) for _ in range(scenario.L)],
+            required=False,
+        ),
+    }
 
 
 def run_scenario(mode: str, scenario: Scenario, witness_opts, override: bool):
@@ -146,9 +159,9 @@ def run_scenario(mode: str, scenario: Scenario, witness_opts, override: bool):
         report = dynamics.check_disjoint_chaotic(scenario, override=override)
     elif mode == "witness":
         report = dynamics.check_disjoint_transitive(scenario, override=override)
-        n = witness_opts.get("n") or report.n_star
+        n = witness_opts["n"] or report.n_star
         if n is not None:
-            f, targets = _witness_vectors(scenario, witness_opts)
+            f, targets = witness_opts["f"], witness_opts["targets"]
             v = build_witness(scenario, f, targets, n, scenario.K)
             rho0, rhos = verify_witness(scenario, v, f, targets, n)
             extra["witness"] = {

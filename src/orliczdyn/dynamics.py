@@ -1,11 +1,21 @@
 """Condition checkers for disjoint transitivity, mixing and chaos.
 
-Each checker sweeps n = 1..n_max, evaluates the relevant sup quantities
-of the weight-product cocycles over a finite compact set K (or a Borel
-subset E_n of it chosen by the deficit policy), and reports the first n
-at which all quantities fall strictly below epsilon.  The conditions are
-limit statements, so a failed sweep is reported as "not verified within
-bound", never as a disproof.
+Every checker mode is a condition swept by one engine.  A condition is
+
+* a list of columns: sup quantities of the weight-product cocycles, each
+  read off shared cumulative log tables at sweep index n as a (trace,
+  accept) row over the points of a finite compact set K;
+* the operators whose ``sup w <= 1`` refuses the run;
+* a verdict rule: the first n at which every column is strictly below
+  epsilon on K (or on a subset E_n chosen by the deficit policy), or for
+  mixing the start of the last unbroken run of such n up to n_max.
+
+A call makes one aperiodicity scan, builds one table per distinct weight
+as deep as its columns read, and sweeps n = 1..n_max once.  The
+disjoint-chaos sub-verdicts and the same-weight cross-check are extra
+conditions over the same tables.  The conditions are limit statements,
+so a failed sweep is reported as "not verified within bound", never as
+a disproof.
 
 Quantities per operator index l (power r_l), at sweep index n:
 
@@ -13,6 +23,8 @@ Quantities per operator index l (power r_l), at sweep index n:
 * ``bwd_l``          backward cocycle at r_l * n
 * ``cross_bwd_s_l``  bwd_s((r_l-r_s)n) * bwd_l(r_l n) / bwd_s(r_l n)
 * ``cross_fwd_s_l``  fwd_l((r_l-r_s)n) * bwd_s(r_s n) / bwd_l(r_s n)
+* ``gap_bwd_s_l``    bwd((r_l-r_s)n), ``gap_fwd_s_l`` fwd((r_l-r_s)n) of the
+                     one shared weight (the same-weight reduction)
 * ``series_l``       sum over t of fwd_l(t r_l n) + bwd_l(t r_l n),
                      truncated at t_max plus a certified geometric tail
 
@@ -25,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,7 +250,9 @@ class _OrbitTables:
     bwd[l][:, n] = sum_{j=0..n-1} log w_l(x a^-j)     (bwd[:, 0] = 0)
 
     so the forward cocycle is exp(fwd[:, n]) and the backward cocycle is
-    exp(-bwd[:, n]).
+    exp(-bwd[:, n]).  Operators with equal weights share one table, as
+    deep as the deepest of them needs (a cumsum prefix does not depend on
+    the row length); a weight of depth 0 gets none.
     """
 
     def __init__(self, scenario: Scenario, depths):
@@ -263,22 +278,130 @@ class _OrbitTables:
         for _ in range(max_depth - 1):
             cur = cur * a_inv
             bwd_pows.append(cur)
-        self.fwd = []
-        self.bwd = []
-        for l, w in enumerate(scenario.weights):
-            d = depths[l]
+        weights = scenario.weights
+        self.fwd = [None] * scenario.L
+        self.bwd = [None] * scenario.L
+        for l, w in enumerate(weights):
+            sharing = [k for k, v in enumerate(weights) if v == w]  # Weight is unhashable
+            d = max(depths[k] for k in sharing)
+            if self.fwd[l] is not None or d == 0:
+                continue
             logs_f = _orbit_log_weights(scenario.model, self.points, units, fwd_pows[:d], w)
             logs_b = _orbit_log_weights(scenario.model, self.points, units, bwd_pows[:d], w)
             zero = np.zeros((n_pts, 1))
-            self.fwd.append(np.hstack([zero, np.cumsum(logs_f, axis=1)]))
-            self.bwd.append(np.hstack([zero, np.cumsum(logs_b, axis=1)]))
+            fwd = np.hstack([zero, np.cumsum(logs_f, axis=1)])
+            bwd = np.hstack([zero, np.cumsum(logs_b, axis=1)])
+            for k in sharing:
+                self.fwd[k], self.bwd[k] = fwd, bwd
 
 
 # ---------------------------------------------------------------------------
-# sweep machinery
+# columns
 
 
-def _refusal_reason(scenario: Scenario, weight_indices) -> str | None:
+class _Column(NamedTuple):
+    """One sup quantity: ``values(tables, n)`` is its row over the points
+    of K, or its (trace, accept) rows when not ``exact``.  ``reads`` maps
+    each operator whose table it reads to the deepest index read, per n.
+    A name stands for one formula; the sweep evaluates it once per n."""
+
+    name: str
+    reads: dict
+    values: Callable
+    exact: bool = True
+
+
+def _fwd(r, l) -> _Column:
+    return _Column(f"fwd_{l + 1}", {l: r[l]}, lambda t, n: np.exp(t.fwd[l][:, r[l] * n]))
+
+
+def _bwd(r, l) -> _Column:
+    return _Column(f"bwd_{l + 1}", {l: r[l]}, lambda t, n: np.exp(-t.bwd[l][:, r[l] * n]))
+
+
+def _cross(r, s, l) -> list:
+    """The cross quantities of the operator pair s < l."""
+
+    def cross_bwd(t, n):
+        gap = (r[l] - r[s]) * n
+        return np.exp(-t.bwd[s][:, gap] - t.bwd[l][:, r[l] * n] + t.bwd[s][:, r[l] * n])
+
+    def cross_fwd(t, n):
+        gap = (r[l] - r[s]) * n
+        return np.exp(t.fwd[l][:, gap] - t.bwd[s][:, r[s] * n] + t.bwd[l][:, r[s] * n])
+
+    pair = f"s{s + 1}_l{l + 1}"
+    reads = {s: r[l], l: r[l]}
+    return [
+        _Column(f"cross_bwd_{pair}", reads, cross_bwd),
+        _Column(f"cross_fwd_{pair}", reads, cross_fwd),
+    ]
+
+
+def _gap(r, s, l) -> list:
+    """The cross quantities of s < l when both share one weight: plain
+    cocycles at the power gap."""
+    pair = f"s{s + 1}_l{l + 1}"
+    k = r[l] - r[s]
+    return [
+        _Column(f"gap_bwd_{pair}", {0: k}, lambda t, n: np.exp(-t.bwd[0][:, k * n])),
+        _Column(f"gap_fwd_{pair}", {0: k}, lambda t, n: np.exp(t.fwd[0][:, k * n])),
+    ]
+
+
+def _pairwise_columns(scenario, pair) -> tuple:
+    """fwd_l and bwd_l of every operator, then ``pair(r, s, l)`` for s < l."""
+    r, L = scenario.powers, scenario.L
+    cols = [_fwd(r, l) for l in range(L)] + [_bwd(r, l) for l in range(L)]
+    for s in range(L):
+        for l in range(s + 1, L):
+            cols += pair(r, s, l)
+    return tuple(cols)
+
+
+def _series_quantities(tables, l, r_l, n, t_max):
+    """(trace, accept) for the chaos series of operator l."""
+    idx = np.arange(1, t_max + 1) * (r_l * n)
+    terms = np.exp(tables.fwd[l][:, idx]) + np.exp(-tables.bwd[l][:, idx])
+    trunc = np.sum(terms, axis=1)
+    last, prev = terms[:, -1], terms[:, -2]
+    rho = np.where(prev > 0, last / np.where(prev > 0, prev, 1.0), np.inf)
+    certified = (rho < _TAIL_RATIO_CAP) | (last == 0.0)
+    tail = np.where(certified & (last > 0), last * rho / (1.0 - rho), 0.0)
+    trace = trunc + np.where(certified, tail, 0.0)
+    accept = np.where(certified, trace, np.inf)
+    return trace, accept
+
+
+def _series(scenario, l) -> _Column:
+    r_l, t_max = scenario.powers[l], scenario.t_max
+    return _Column(
+        f"series_{l + 1}",
+        {l: t_max * r_l},
+        lambda t, n: _series_quantities(t, l, r_l, n, t_max),
+        exact=False,
+    )
+
+
+def _chaos_columns(scenario, l) -> tuple:
+    return (_fwd(scenario.powers, l), _bwd(scenario.powers, l), _series(scenario, l))
+
+
+# ---------------------------------------------------------------------------
+# the sweep engine
+
+
+class _Condition(NamedTuple):
+    """Columns, the operators whose sup w <= 1 refuses the run, and the
+    verdict rule: the first ok n, or with ``tail`` the start of the last
+    unbroken run of ok n."""
+
+    columns: tuple
+    refuse_ops: Sequence[int]
+    tail: bool = False
+
+
+def _aperiodicity_refusal(scenario: Scenario) -> str | None:
     cert = aperiodicity_bound(scenario.a, scenario.K, scenario.n_max)
     if cert.status == "periodic":
         return (
@@ -290,7 +413,11 @@ def _refusal_reason(scenario: Scenario, weight_indices) -> str | None:
             f"aperiodicity not certified within n_max={scenario.n_max}: "
             "K still meets its own translates at the bound"
         )
-    for l in weight_indices:
+    return None
+
+
+def _weight_refusal(scenario: Scenario, ops) -> str | None:
+    for l in ops:
         sup = scenario.weights[l].sup_bound()
         if sup <= 1.0:
             return (
@@ -298,10 +425,6 @@ def _refusal_reason(scenario: Scenario, weight_indices) -> str | None:
                 "at most 1 and the operator is never transitive"
             )
     return None
-
-
-def _cross_pairs(L: int):
-    return [(s, l) for s in range(L) for l in range(s + 1, L)]
 
 
 def _select_e(accept_matrix: np.ndarray, eps: float, budget: int):
@@ -328,69 +451,81 @@ def _select_e(accept_matrix: np.ndarray, eps: float, budget: int):
     return False, keep, int(budget)
 
 
-def _sweep(scenario, tables, columns, quantities_at, budget):
-    """Run n = 1..n_max; returns (rows, first verified n or None).
+def _sweep(scenario, conditions):
+    """Run n = 1..n_max once for all conditions over one table build.
 
-    ``quantities_at(n)`` returns (trace_matrix, accept_matrix), both of
-    shape (num_columns, num_points); accept values may differ from trace
-    values only where a quantity cannot be certified (chaos tails).
+    Returns (verdict, n_star, None, rows) for each condition.
     """
+    columns = {c.name: c for cond in conditions for c in cond.columns}
+    depths = [0] * scenario.L
+    for c in columns.values():
+        for l, k in c.reads.items():
+            depths[l] = max(depths[l], k * scenario.n_max)
+    tables = _OrbitTables(scenario, depths)
     mass = scenario.model.haar_cell_mass
-    rows = []
-    n_star = None
+    budget = int(math.floor(scenario.e_deficit_cap / mass + 1e-9))
+    out = [([], []) for _ in conditions]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for n in range(1, scenario.n_max + 1):
-            trace, accept = quantities_at(n)
-            ok, keep, dropped = _select_e(accept, scenario.epsilon, budget)
-            sups = tuple(float(np.max(trace[q][keep])) for q in range(len(columns)))
-            rows.append((n, sups, dropped * mass))
-            if ok and n_star is None:
-                n_star = n
-    return tuple(rows), n_star
+            values = {}
+            for name, c in columns.items():
+                v = c.values(tables, n)
+                values[name] = (v, v) if c.exact else v
+            for cond, (rows, oks) in zip(conditions, out):
+                accept = np.vstack([values[c.name][1] for c in cond.columns])
+                ok, keep, dropped = _select_e(accept, scenario.epsilon, budget)
+                sups = tuple(float(np.max(values[c.name][0][keep])) for c in cond.columns)
+                rows.append((n, sups, dropped * mass))
+                oks.append(ok)
+    results = []
+    for cond, (rows, oks) in zip(conditions, out):
+        n_star = _verdict_n(oks, cond.tail)
+        verdict = VERDICT_NOT_VERIFIED if n_star is None else VERDICT_VERIFIED
+        results.append((verdict, n_star, None, tuple(rows)))
+    return results
 
 
-def _budget(scenario: Scenario) -> int:
-    return int(math.floor(scenario.e_deficit_cap / scenario.model.haar_cell_mass + 1e-9))
+def _verdict_n(oks, tail: bool):
+    if not tail:
+        return next((n for n, ok in enumerate(oks, start=1) if ok), None)
+    k = len(oks)
+    while k and oks[k - 1]:
+        k -= 1
+    return k + 1 if k < len(oks) else None
 
 
-def _transitive_columns(L: int):
-    cols = [f"fwd_{l + 1}" for l in range(L)] + [f"bwd_{l + 1}" for l in range(L)]
-    for s, l in _cross_pairs(L):
-        cols.append(f"cross_bwd_s{s + 1}_l{l + 1}")
-        cols.append(f"cross_fwd_s{s + 1}_l{l + 1}")
-    return tuple(cols)
+def _run(scenario, conditions, override):
+    """Refuse or sweep each condition; one aperiodicity scan in all.
+
+    Returns (verdict, n_star, reason, rows) per condition.  Refused
+    conditions add nothing to the table build.
+    """
+    if override:
+        reasons = [None] * len(conditions)
+    else:
+        base = _aperiodicity_refusal(scenario)
+        reasons = [base or _weight_refusal(scenario, c.refuse_ops) for c in conditions]
+    live = [c for c, reason in zip(conditions, reasons) if reason is None]
+    swept = iter(_sweep(scenario, live) if live else ())
+    return [(VERDICT_REFUSED, None, r, ()) if r else next(swept) for r in reasons]
 
 
-def _make_transitive_quantities(scenario, tables):
-    r = scenario.powers
-    L = scenario.L
+def _report(mode, scenario, cond, result, sub_verdicts=()) -> ConditionReport:
+    verdict, n_star, reason, rows = result
+    columns = tuple(c.name for c in cond.columns)
+    return ConditionReport(
+        mode, verdict, n_star, reason, columns, rows,
+        sub_verdicts=sub_verdicts, meta=scenario.summary(),
+    )
 
-    def quantities_at(n: int):
-        qs = []
-        for l in range(L):
-            qs.append(np.exp(tables.fwd[l][:, r[l] * n]))
-        for l in range(L):
-            qs.append(np.exp(-tables.bwd[l][:, r[l] * n]))
-        for s, l in _cross_pairs(L):
-            gap = (r[l] - r[s]) * n
-            qs.append(
-                np.exp(
-                    -tables.bwd[s][:, gap]
-                    - tables.bwd[l][:, r[l] * n]
-                    + tables.bwd[s][:, r[l] * n]
-                )
-            )
-            qs.append(
-                np.exp(
-                    tables.fwd[l][:, gap]
-                    - tables.bwd[s][:, r[s] * n]
-                    + tables.bwd[l][:, r[s] * n]
-                )
-            )
-        m = np.vstack(qs)
-        return m, m
 
-    return quantities_at
+def _check(mode, scenario, cond, override) -> ConditionReport:
+    (result,) = _run(scenario, [cond], override)
+    return _report(mode, scenario, cond, result)
+
+
+# ---------------------------------------------------------------------------
+# checker modes
 
 
 def check_disjoint_transitive(scenario: Scenario, override: bool = False) -> ConditionReport:
@@ -401,27 +536,8 @@ def check_disjoint_transitive(scenario: Scenario, override: bool = False) -> Con
     """
     if scenario.L < 2:
         raise ScenarioError("disjoint transitivity needs at least two operators")
-    return _run_transitive_mode(scenario, "disjoint_transitive", override)
-
-
-def _run_transitive_mode(scenario, mode, override, mixing=False) -> ConditionReport:
-    columns = _transitive_columns(scenario.L)
-    reason = None if override else _refusal_reason(scenario, range(scenario.L))
-    if reason is not None:
-        return ConditionReport(
-            mode, VERDICT_REFUSED, None, reason, columns, (), meta=scenario.summary()
-        )
-    depth = scenario.powers[-1] * scenario.n_max
-    tables = _OrbitTables(scenario, [depth] * scenario.L)
-    rows, n_star = _sweep(
-        scenario, tables, columns, _make_transitive_quantities(scenario, tables), _budget(scenario)
-    )
-    if mixing:
-        return _mixing_verdict(scenario, mode, columns, rows)
-    verdict = VERDICT_VERIFIED if n_star is not None else VERDICT_NOT_VERIFIED
-    return ConditionReport(
-        mode, verdict, n_star, None, columns, rows, meta=scenario.summary()
-    )
+    cond = _Condition(_pairwise_columns(scenario, _cross), range(scenario.L))
+    return _check("disjoint_transitive", scenario, cond, override)
 
 
 def check_disjoint_mixing(scenario: Scenario, override: bool = False) -> ConditionReport:
@@ -429,101 +545,32 @@ def check_disjoint_mixing(scenario: Scenario, override: bool = False) -> Conditi
     of a tail window [n_tail, n_max]; n_star reports n_tail."""
     if scenario.L < 2:
         raise ScenarioError("disjoint mixing needs at least two operators")
-    return _run_transitive_mode(scenario, "disjoint_mixing", override, mixing=True)
-
-
-def _mixing_verdict(scenario, mode, columns, rows) -> ConditionReport:
-    budget_mass = _budget(scenario) * scenario.model.haar_cell_mass
-    ok_flags = [
-        all(v < scenario.epsilon for v in values) and deficit <= budget_mass + 1e-12
-        for (_, values, deficit) in rows
-    ]
-    n_tail = None
-    for i in range(len(ok_flags) - 1, -1, -1):
-        if ok_flags[i]:
-            n_tail = rows[i][0]
-        else:
-            break
-    verdict = VERDICT_VERIFIED if n_tail is not None else VERDICT_NOT_VERIFIED
-    return ConditionReport(
-        mode, verdict, n_tail, None, columns, rows, meta=scenario.summary()
-    )
+    cond = _Condition(_pairwise_columns(scenario, _cross), range(scenario.L), tail=True)
+    return _check("disjoint_mixing", scenario, cond, override)
 
 
 def check_same_weight(scenario: Scenario, override: bool = False) -> ConditionReport:
     """Reduced checker for operators sharing one weight.
 
     The cross quantities collapse to plain cocycles at the power gaps;
-    the general checker is also run and must agree (a built-in
-    consistency assertion).
+    the general transitive columns are swept over the same tables and
+    must agree (a built-in consistency assertion).
     """
     if scenario.L < 2:
         raise ScenarioError("the same-weight check needs at least two operators")
-    columns = [f"fwd_{l + 1}" for l in range(scenario.L)]
-    columns += [f"bwd_{l + 1}" for l in range(scenario.L)]
-    for s, l in _cross_pairs(scenario.L):
-        columns.append(f"gap_bwd_s{s + 1}_l{l + 1}")
-        columns.append(f"gap_fwd_s{s + 1}_l{l + 1}")
-    columns = tuple(columns)
+    ops = range(scenario.L)
+    reduced = _Condition(_pairwise_columns(scenario, _gap), ops)
     w0 = scenario.weights[0]
     if any(w != w0 for w in scenario.weights[1:]):
-        return ConditionReport(
-            "same_weight",
-            VERDICT_REFUSED,
-            None,
-            "weights differ; the reduced check applies to one shared weight",
-            columns,
-            (),
-            meta=scenario.summary(),
-        )
-    reason = None if override else _refusal_reason(scenario, range(scenario.L))
-    if reason is not None:
-        return ConditionReport(
-            "same_weight", VERDICT_REFUSED, None, reason, columns, (), meta=scenario.summary()
-        )
-    depth = scenario.powers[-1] * scenario.n_max
-    tables = _OrbitTables(scenario, [depth] * scenario.L)
-    r = scenario.powers
-
-    def quantities_at(n: int):
-        qs = []
-        for l in range(scenario.L):
-            qs.append(np.exp(tables.fwd[l][:, r[l] * n]))
-        for l in range(scenario.L):
-            qs.append(np.exp(-tables.bwd[l][:, r[l] * n]))
-        for s, l in _cross_pairs(scenario.L):
-            gap = (r[l] - r[s]) * n
-            qs.append(np.exp(-tables.bwd[0][:, gap]))
-            qs.append(np.exp(tables.fwd[0][:, gap]))
-        m = np.vstack(qs)
-        return m, m
-
-    rows, n_star = _sweep(scenario, tables, columns, quantities_at, _budget(scenario))
-    verdict = VERDICT_VERIFIED if n_star is not None else VERDICT_NOT_VERIFIED
-    general = _run_transitive_mode(scenario, "disjoint_transitive", override)
-    if (general.verdict, general.n_star) != (verdict, n_star):
+        reason = "weights differ; the reduced check applies to one shared weight"
+        return _report("same_weight", scenario, reduced, (VERDICT_REFUSED, None, reason, ()))
+    general = _Condition(_pairwise_columns(scenario, _cross), ops)
+    result, check = _run(scenario, [reduced, general], override)
+    if check[:2] != result[:2]:
         raise CheckerDisagreementError(
-            f"reduced ({verdict}, {n_star}) vs general ({general.verdict}, {general.n_star})"
+            f"reduced ({result[0]}, {result[1]}) vs general ({check[0]}, {check[1]})"
         )
-    return ConditionReport(
-        "same_weight", verdict, n_star, None, columns, rows, meta=scenario.summary()
-    )
-
-
-def _series_quantities(tables, l, r_l, n, t_max):
-    """(trace, accept, fwd, bwd) for the chaos series of operator l."""
-    idx = np.arange(1, t_max + 1) * (r_l * n)
-    terms = np.exp(tables.fwd[l][:, idx]) + np.exp(-tables.bwd[l][:, idx])
-    trunc = np.sum(terms, axis=1)
-    last, prev = terms[:, -1], terms[:, -2]
-    rho = np.where(prev > 0, last / np.where(prev > 0, prev, 1.0), np.inf)
-    certified = (rho < _TAIL_RATIO_CAP) | (last == 0.0)
-    tail = np.where(certified & (last > 0), last * rho / (1.0 - rho), 0.0)
-    trace = trunc + np.where(certified, tail, 0.0)
-    accept = np.where(certified, trace, np.inf)
-    fwd = np.exp(tables.fwd[l][:, r_l * n])
-    bwd = np.exp(-tables.bwd[l][:, r_l * n])
-    return trace, accept, fwd, bwd
+    return _report("same_weight", scenario, reduced, result)
 
 
 def check_chaotic(scenario: Scenario, op_index: int = 0, override: bool = False) -> ConditionReport:
@@ -534,85 +581,29 @@ def check_chaotic(scenario: Scenario, op_index: int = 0, override: bool = False)
         raise ScenarioError(f"op_index {op_index} out of range")
     if scenario.t_max < 8:
         raise ScenarioError("chaos checks need truncation depth t_max >= 8")
-    lab = op_index + 1
-    columns = (f"fwd_{lab}", f"bwd_{lab}", f"series_{lab}")
-    reason = None if override else _refusal_reason(scenario, [op_index])
-    if reason is not None:
-        return ConditionReport(
-            "chaotic", VERDICT_REFUSED, None, reason, columns, (), meta=scenario.summary()
-        )
-    r_l = scenario.powers[op_index]
-    depths = [1] * scenario.L
-    depths[op_index] = scenario.t_max * r_l * scenario.n_max
-    tables = _OrbitTables(scenario, depths)
-
-    def quantities_at(n: int):
-        trace_s, accept_s, fwd, bwd = _series_quantities(
-            tables, op_index, r_l, n, scenario.t_max
-        )
-        return np.vstack([fwd, bwd, trace_s]), np.vstack([fwd, bwd, accept_s])
-
-    rows, n_star = _sweep(scenario, tables, columns, quantities_at, _budget(scenario))
-    verdict = VERDICT_VERIFIED if n_star is not None else VERDICT_NOT_VERIFIED
-    return ConditionReport(
-        "chaotic", verdict, n_star, None, columns, rows, meta=scenario.summary()
-    )
+    cond = _Condition(_chaos_columns(scenario, op_index), (op_index,))
+    return _check("chaotic", scenario, cond, override)
 
 
 def check_disjoint_chaotic(scenario: Scenario, override: bool = False) -> ConditionReport:
     """Conjunction: every operator's chaos series and both cross-term
     families below epsilon at a common n.  Per-operator chaos verdicts
-    are attached as sub-verdicts."""
+    are attached as sub-verdicts; they are the `check_chaotic` conditions
+    swept over the same tables."""
     if scenario.L < 2:
         raise ScenarioError("disjoint chaos needs at least two operators")
     if scenario.t_max < 8:
         raise ScenarioError("chaos checks need truncation depth t_max >= 8")
     L = scenario.L
-    r = scenario.powers
-    columns = list(_transitive_columns(L)) + [f"series_{l + 1}" for l in range(L)]
-    columns = tuple(columns)
-    sub = []
-    for l in range(L):
-        rep = check_chaotic(scenario, op_index=l, override=override)
-        sub.append({"op": l + 1, "verdict": rep.verdict, "n_star": rep.n_star})
-    sub = tuple(sub)
-    reason = None if override else _refusal_reason(scenario, range(L))
-    if reason is not None:
-        return ConditionReport(
-            "disjoint_chaotic",
-            VERDICT_REFUSED,
-            None,
-            reason,
-            columns,
-            (),
-            sub_verdicts=sub,
-            meta=scenario.summary(),
-        )
-    depths = [max(r[-1], scenario.t_max * r[l]) * scenario.n_max for l in range(L)]
-    tables = _OrbitTables(scenario, depths)
-    base_quants = _make_transitive_quantities(scenario, tables)
-
-    def quantities_at(n: int):
-        m, _ = base_quants(n)
-        traces, accepts = [m], [m]
-        for l in range(L):
-            trace_s, accept_s, _, _ = _series_quantities(tables, l, r[l], n, scenario.t_max)
-            traces.append(trace_s[None, :])
-            accepts.append(accept_s[None, :])
-        return np.vstack(traces), np.vstack(accepts)
-
-    rows, n_star = _sweep(scenario, tables, columns, quantities_at, _budget(scenario))
-    verdict = VERDICT_VERIFIED if n_star is not None else VERDICT_NOT_VERIFIED
-    return ConditionReport(
-        "disjoint_chaotic",
-        verdict,
-        n_star,
-        None,
-        columns,
-        rows,
-        sub_verdicts=sub,
-        meta=scenario.summary(),
+    series = tuple(_series(scenario, l) for l in range(L))
+    combined = _Condition(_pairwise_columns(scenario, _cross) + series, range(L))
+    singles = [_Condition(_chaos_columns(scenario, l), (l,)) for l in range(L)]
+    result, *single_results = _run(scenario, [combined, *singles], override)
+    sub = tuple(
+        {"op": l + 1, "verdict": verdict, "n_star": n_star}
+        for l, (verdict, n_star, _, _) in enumerate(single_results)
     )
+    return _report("disjoint_chaotic", scenario, combined, result, sub)
 
 
 # ---------------------------------------------------------------------------

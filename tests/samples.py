@@ -1,15 +1,9 @@
+"""Group models and random elements and vectors shared by the tests."""
+
 import numpy as np
-import pytest
 
-from orliczdyn import _accel
 from orliczdyn.group import GroupElement, GroupModel
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so timed tests measure math, not JIT
-    _accel.warmup()
-
+from orliczdyn.orlicz import OrliczVector
 
 ALL_MODELS = [
     GroupModel.int_line(),
@@ -29,8 +23,6 @@ def random_element(model: GroupModel, rng: np.random.Generator, span: int = 20) 
 
 
 def random_vector(model, rng, max_points=8, span=20, scale=3.0):
-    from orliczdyn.orlicz import OrliczVector
-
     n = int(rng.integers(1, max_points + 1))
     entries = {}
     for _ in range(n):

@@ -1,12 +1,14 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+import orliczdyn as od
 from orliczdyn import _accel
+from orliczdyn.group import GroupModel
+from orliczdyn.translation import ClampExpWeight
+from orliczdyn.young import CustomYoung, PowerLogYoung, PowerYoung
+from samples import random_element
 
 
 @pytest.fixture
@@ -15,102 +17,66 @@ def rng():
 
 
 GRID_T = np.linspace(0.0, 10.0, 101)
-GRID_Y = GRID_T**2
+CUSTOM = CustomYoung(list(zip(GRID_T, GRID_T**2)))
+YOUNGS = [PowerYoung(1.0), PowerYoung(2.0), PowerYoung(3.5), PowerLogYoung(2.0), CUSTOM]
 
 
-CASES = [
-    (_accel.FAMILY_POWER, 1.0),
-    (_accel.FAMILY_POWER, 2.0),
-    (_accel.FAMILY_POWER, 3.5),
-    (_accel.FAMILY_POWERLOG, 2.0),
-    (_accel.FAMILY_CUSTOM, 0.0),
-]
+class TestKernelsMatchScalar:
+    """The numpy kernels against the library's scalar definitions."""
 
-
-@pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba unavailable")
-class TestPathsAgree:
-    @pytest.mark.parametrize("code,p", CASES)
-    def test_phi_values(self, rng, code, p):
+    @pytest.mark.parametrize("phi", YOUNGS)
+    def test_phi_values(self, rng, phi):
         ts = rng.uniform(0.0, 9.5, size=300)
-        a = _accel.phi_values_numba(ts, code, p, GRID_T, GRID_Y)
-        b = _accel.phi_values_numpy(ts, code, p, GRID_T, GRID_Y)
-        np.testing.assert_allclose(a, b, rtol=1e-13)
+        got = _accel.phi_values(ts, *phi._kernel_args())
+        np.testing.assert_allclose(got, [phi(t) for t in ts], rtol=1e-13)
 
-    @pytest.mark.parametrize("code,p", CASES)
-    def test_modular_sum(self, rng, code, p):
+    @pytest.mark.parametrize("phi", YOUNGS)
+    def test_modular_sum(self, rng, phi):
         vals = rng.uniform(0.0, 8.0, size=500)
-        for k in (0.5, 1.0, 3.7):
-            a = _accel.modular_sum_numba(vals, k, 0.5, code, p, GRID_T, GRID_Y)
-            b = _accel.modular_sum_numpy(vals, k, 0.5, code, p, GRID_T, GRID_Y)
-            assert a == pytest.approx(b, rel=1e-12)
+        for k in (0.85, 1.0, 3.7):
+            got = _accel.modular_sum(vals, k, 0.5, *phi._kernel_args())
+            assert got == pytest.approx(0.5 * math.fsum(phi(v / k) for v in vals), rel=1e-12)
 
     def test_custom_out_of_grid_is_inf(self):
         vals = np.array([20.0])
-        for fn in (_accel.modular_sum_numba, _accel.modular_sum_numpy):
-            assert math.isinf(fn(vals, 1.0, 1.0, _accel.FAMILY_CUSTOM, 0.0, GRID_T, GRID_Y))
+        assert math.isinf(_accel.phi_values(vals, *CUSTOM._kernel_args())[0])
+        assert math.isinf(_accel.modular_sum(vals, 1.0, 1.0, *CUSTOM._kernel_args()))
 
-    def test_orbit_logs_abelian(self, rng):
-        units = rng.integers(-5, 6, size=(40, 1)).astype(np.int64)
-        pows = np.arange(1, 33, dtype=np.int64).reshape(32, 1)
-        args = (units, pows, 0.5, False, 0, math.log(2.0), -1.0, 1.0)
-        np.testing.assert_allclose(
-            _accel.clampexp_orbit_logs_numba(*args),
-            _accel.clampexp_orbit_logs_numpy(*args),
-            rtol=1e-14,
-        )
-
-    def test_orbit_logs_heisenberg(self, rng):
-        units = rng.integers(-4, 5, size=(30, 3)).astype(np.int64)
-        pows = np.stack(
-            [np.arange(1, 25), np.zeros(24, dtype=np.int64), 2 * np.arange(1, 25)], axis=1
-        ).astype(np.int64)
-        args = (units, pows, 1.0, True, 2, math.log(2.0), -1.0, 1.0)
-        np.testing.assert_allclose(
-            _accel.clampexp_orbit_logs_numba(*args),
-            _accel.clampexp_orbit_logs_numpy(*args),
-            rtol=1e-14,
-        )
-
-
-def test_dispatch_consistency():
-    if _accel.HAS_NUMBA:
-        assert _accel.ACTIVE == "numba"
-        assert _accel.modular_sum is _accel.modular_sum_numba
-    else:
-        assert _accel.ACTIVE == "numpy"
-        assert _accel.modular_sum is _accel.modular_sum_numpy
-
-
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, ORLICZ_DYN_NO_NUMBA="1")
-    out = subprocess.run(
+    @pytest.mark.parametrize(
+        "model,a_units,coord",
         [
-            sys.executable,
-            "-c",
-            "from orliczdyn import _accel; print(_accel.ACTIVE, _accel.HAS_NUMBA)",
+            (GroupModel.lattice_line(0.5), [1], 0),
+            (GroupModel.heisenberg_int(), [1, 1, 2], 2),
+            (GroupModel.heisenberg_lattice(0.5), [1, 2, 1], 2),
         ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
+        ids=["abelian", "heisenberg", "heisenberg_lattice"],
     )
-    assert out.stdout.split() == ["numpy", "False"]
+    def test_orbit_logs(self, rng, model, a_units, coord):
+        w = ClampExpWeight(base=2.0, coord=coord, lo=-2.5, hi=1.5)
+        xs = [random_element(model, rng, span=4) for _ in range(30)]
+        a = model.element_units(a_units)
+        pows = [a**j for j in range(1, 25)]
+        got = _accel.clampexp_orbit_logs(
+            np.array([x.units for x in xs], dtype=np.int64),
+            np.array([p.units for p in pows], dtype=np.int64),
+            model.h,
+            model.is_heisenberg,
+            coord,
+            math.log(w.base),
+            w.lo,
+            w.hi,
+        )
+        want = [[w.log_value(x * p) for p in pows] for x in xs]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
 def test_numpy_fallback_end_to_end():
-    # the whole checker pipeline must work on the fallback path
-    code = (
-        "import orliczdyn as od\n"
-        "z = od.GroupModel.int_line()\n"
-        "w = od.ClampExpWeight(base=2.0, coord=0, lo=-1.0, hi=1.0)\n"
-        "s = od.Scenario(model=z, phi=od.PowerYoung(2.0), a=z.element([1]),\n"
-        "                weights=(w, w), powers=(1, 2),\n"
-        "                K=od.CompactSet.box(z, [-3], [3]), epsilon=1e-2, n_max=32)\n"
-        "rep = od.check_disjoint_transitive(s)\n"
-        "print(rep.verdict, rep.n_star)\n"
-    )
-    env = dict(os.environ, ORLICZ_DYN_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["verified", "14"]
+    # the whole checker pipeline runs on the numpy kernels
+    z = od.GroupModel.int_line()
+    w = od.ClampExpWeight(base=2.0, coord=0, lo=-1.0, hi=1.0)
+    s = od.Scenario(model=z, phi=od.PowerYoung(2.0), a=z.element([1]),
+                    weights=(w, w), powers=(1, 2),
+                    K=od.CompactSet.box(z, [-3], [3]), epsilon=1e-2, n_max=32)
+    rep = od.check_disjoint_transitive(s)
+    assert od.ACCEL_BACKEND == "numpy"
+    assert (rep.verdict, rep.n_star) == ("verified", 14)

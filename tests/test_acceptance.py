@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ALL_MODELS, random_element, random_vector
+from samples import ALL_MODELS, random_element, random_vector
 from orliczdyn.dynamics import (
     Scenario,
     VERDICT_NOT_VERIFIED,

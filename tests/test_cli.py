@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orliczdyn.cli import main
 
 STEP_W = {"rule": "clamp_exp", "base": 2.0, "coord": 0, "lo": -1.0, "hi": 1.0}
@@ -124,6 +126,36 @@ class TestCheck:
         report = json.loads((out / "report.json").read_text())
         assert report["witness"]["rho_0"] == 0.1328125
         assert report["witness"]["vector"] == [[[-8], 0.0078125], [[-4], 0.125], [[0], 1.0]]
+
+    @pytest.mark.parametrize(
+        "witness,field",
+        [
+            ({"n": "x"}, "'witness.n'"),
+            ({"n": {"bad": 1}}, "'witness.n'"),
+            ({"n": -1}, "'witness.n'"),
+            ({"n": 0}, "'witness.n'"),
+            (5, "'witness'"),
+            ({"f": [[1]]}, "'witness.f'"),
+        ],
+        ids=["n_text", "n_object", "n_negative", "n_zero", "not_object", "f_entry"],
+    )
+    def test_malformed_witness_exit_1(self, tmp_path, capsys, witness, field):
+        doc = z_config(mode="witness", K={"points": [[0]]}, witness=witness)
+        code, out = run_cli(tmp_path, doc)
+        assert code == 1
+        assert field in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_bad_config_does_not_sink_batch(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(z_config()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(z_config(mode="witness", witness={"n": "x"})))
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(good), str(bad), "--out", str(out)]) == 1
+        assert json.loads((out / "good" / "report.json").read_text())["verdict"] == "verified"
+        assert not (out / "bad").exists()
+        assert "'witness.n'" in capsys.readouterr().out
 
     def test_format_json_only(self, tmp_path):
         cfg = tmp_path / "c.json"

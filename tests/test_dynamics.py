@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from orliczdyn import _accel, dynamics
 from orliczdyn.dynamics import (
     CheckerDisagreementError,
     ConditionReport,
@@ -338,6 +339,71 @@ class TestDisjointChaotic:
         n = rep.n_star
         trans = check_disjoint_transitive(s)
         assert trans.verified and trans.n_star <= n
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+STEP3 = ClampExpWeight(base=3.0, coord=0, lo=-1.0, hi=1.0)
+
+
+class TestEngine:
+    """One aperiodicity scan and one table build per checker call."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_disjoint_transitive,
+            check_disjoint_mixing,
+            check_same_weight,
+            check_chaotic,
+            check_disjoint_chaotic,
+        ],
+    )
+    def test_one_aperiodicity_scan(self, monkeypatch, check):
+        calls = counting(monkeypatch, dynamics, "aperiodicity_bound")
+        rep = check(z_scenario(n_max=16, t_max=10))
+        assert rep.verdict != VERDICT_REFUSED
+        assert len(calls) == 1
+
+    def test_tables_built_once_per_weight(self, monkeypatch):
+        calls = counting(monkeypatch, _accel, "clampexp_orbit_logs")
+        check_disjoint_chaotic(z_scenario(weights=(STEP, STEP3), n_max=16, t_max=10))
+        log_bases = [args[5] for args in calls]
+        assert sorted(log_bases) == sorted([math.log(2.0)] * 2 + [math.log(3.0)] * 2)
+
+    def test_equal_weights_share_tables(self, monkeypatch):
+        calls = counting(monkeypatch, _accel, "clampexp_orbit_logs")
+        check_disjoint_chaotic(z_scenario(n_max=16, t_max=10))
+        assert len(calls) == 2  # one forward and one backward table
+
+    @pytest.mark.parametrize(
+        "weights,override",
+        [
+            ((STEP, STEP), False),
+            ((STEP, STEP3), False),
+            ((STEP, ConstantWeight(1.0)), False),  # combined check refused by weight 2
+            ((STEP, ConstantWeight(1.0)), True),
+            ((ConstantWeight(2.0), STEP3), False),
+        ],
+    )
+    def test_sub_verdicts_match_standalone(self, weights, override):
+        s = z_scenario(weights=weights, n_max=16, t_max=10)
+        rep = check_disjoint_chaotic(s, override=override)
+        for l, sv in enumerate(rep.sub_verdicts):
+            alone = check_chaotic(s, op_index=l, override=override)
+            assert sv == {"op": l + 1, "verdict": alone.verdict, "n_star": alone.n_star}
+        assert len(rep.sub_verdicts) == s.L
 
 
 class TestEPolicy:

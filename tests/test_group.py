@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ALL_MODELS, random_element
+from samples import ALL_MODELS, random_element
 from orliczdyn.group import (
     CompactSet,
     EmptySetError,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALL_MODELS, random_element, random_vector
+from samples import ALL_MODELS, random_element, random_vector
 from orliczdyn.group import CompactSet, GroupModel, ModelMismatchError
 from orliczdyn.orlicz import OrliczVector, indicator
 from orliczdyn.young import CustomYoung, OutOfGridError, PowerLogYoung, PowerYoung

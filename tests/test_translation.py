@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_element, random_vector
+from samples import random_element, random_vector
 from orliczdyn.group import CompactSet, EmptySetError, GroupModel
 from orliczdyn.orlicz import OrliczVector
 from orliczdyn.translation import (

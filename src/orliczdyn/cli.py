@@ -81,15 +81,15 @@ def parse_config(doc: dict):
     mode = _field(doc, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")
-    model = _field(doc, "group", GroupModel.from_config)
+    model = _field(doc, "group", _group)
     phi = _field(doc, "young", young_from_config)
     a = _field(doc, "a", lambda c: model.element(c))
-    weights = _field(doc, "weights", lambda ws: tuple(Weight.from_config(w) for w in ws))
-    powers = _field(doc, "powers", lambda rs: tuple(int(r) for r in rs))
+    weights = _field(doc, "weights", _weights)
+    powers = _field(doc, "powers", lambda rs: tuple(_positive_int(r) for r in rs))
     K = _field(doc, "K", lambda d: _parse_set(model, d))
     epsilon = _field(doc, "epsilon", float)
-    n_max = _field(doc, "n_max", int)
-    t_max = _field(doc, "t_max", int, default=50, required=False)
+    n_max = _field(doc, "n_max", _positive_int)
+    t_max = _field(doc, "t_max", _positive_int, default=50, required=False)
     cap = _field(doc, "e_k_deficit_cap", float, default=0.0, required=False)
     try:
         scenario = Scenario(
@@ -116,20 +116,53 @@ def _object(value) -> dict:
     return value
 
 
-def _positive_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"expected an integer >= 1, got {value!r}")
+def _int_at_least(value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"expected an integer >= {low}, got {value!r}")
     return value
+
+
+def _positive_int(value) -> int:
+    return _int_at_least(value, 1)
+
+
+def _nonnegative_int(value) -> int:
+    return _int_at_least(value, 0)
+
+
+def _group(doc) -> GroupModel:
+    doc = _object(doc)
+    if doc.get("kind") == "int_lattice":
+        _field(doc, "group.d", _positive_int)
+    return GroupModel.from_config(doc)
+
+
+def _weights(docs) -> tuple:
+    out = []
+    for i, doc in enumerate(docs):
+        doc = _object(doc)
+        if doc.get("rule") == "clamp_exp":
+            _field(doc, f"weights[{i}].coord", _nonnegative_int)
+        out.append(Weight.from_config(doc))
+    return tuple(out)
 
 
 def _parse_witness(doc: dict, scenario: Scenario) -> dict:
     """{"n": int >= 1 or None, "f": vector, "targets": vectors}; f and each
     target default to the indicator of K."""
     wdoc = _field(doc, "witness", _object, default={}, required=False)
-    model, K = scenario.model, scenario.K
+    model, K, L = scenario.model, scenario.K, scenario.L
 
     def vector(entries):
-        return OrliczVector.from_json_entries(model, entries)
+        v = OrliczVector.from_json_entries(model, entries)
+        if any(x not in K for x in v.support):
+            raise ValueError("support escapes K")
+        return v
+
+    def targets(ts):
+        if len(ts) not in (0, L):
+            raise ValueError(f"need one target per operator ({L}) or none, got {len(ts)}")
+        return [vector(t) for t in ts]
 
     return {
         "n": _field(wdoc, "witness.n", _positive_int, required=False),
@@ -137,8 +170,8 @@ def _parse_witness(doc: dict, scenario: Scenario) -> dict:
         "targets": _field(
             wdoc,
             "witness.targets",
-            lambda ts: [vector(t) for t in ts],
-            [OrliczVector.indicator(K) for _ in range(scenario.L)],
+            targets,
+            [OrliczVector.indicator(K) for _ in range(L)],
             required=False,
         ),
     }

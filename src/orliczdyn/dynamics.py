@@ -42,13 +42,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _accel
-from .group import CompactSet, GroupElement, GroupModel, aperiodicity_bound
+from .group import CompactSet, GroupElement, GroupModel, aperiodicity_bound, row_index
 from .orlicz import OrliczVector
 from .translation import (
+    ORBIT_BLOCK_CELLS,
     ClampExpWeight,
     ConstantWeight,
     Weight,
     WeightedTranslation,
+    log_values,
 )
 from .young import YoungFunction
 
@@ -217,18 +219,15 @@ class ConditionReport:
 # orbit tables
 
 
-def _orbit_log_weights(model, points, units_arr, pow_elements, weight) -> np.ndarray:
-    """(N, J) log-weights at points[i] * pow_elements[j]."""
-    n_steps = len(pow_elements)
+def _orbit_log_weights(model, units, step, js, weight) -> np.ndarray:
+    """(N, J) log-weights at units[i] * step^js[j]."""
     if isinstance(weight, ConstantWeight):
-        return np.full((len(points), n_steps), math.log(weight.c))
+        return np.full((len(units), len(js)), math.log(weight.c))
     if isinstance(weight, ClampExpWeight):
-        pow_units = np.asarray([e.units for e in pow_elements], dtype=np.int64).reshape(
-            n_steps, model.dim
-        )
+        origin = np.zeros((1, model.dim), dtype=np.int64)
         return _accel.clampexp_orbit_logs(
-            units_arr,
-            pow_units,
+            units,
+            model.orbit_units(origin, step, js)[0],
             model.h,
             model.is_heisenberg,
             weight.coord,
@@ -236,10 +235,12 @@ def _orbit_log_weights(model, points, units_arr, pow_elements, weight) -> np.nda
             weight.lo,
             weight.hi,
         )
-    out = np.empty((len(points), n_steps))
-    for i, x in enumerate(points):
-        for j, pe in enumerate(pow_elements):
-            out[i, j] = weight.log_value(x * pe)
+    out = np.empty((len(units), len(js)))
+    block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
+    for c in range(0, len(js), block):
+        pts = model.orbit_units(units, step, js[c : c + block]).reshape(-1, model.dim)
+        logs = log_values(weight.on_units(model, pts))
+        out[:, c : c + block] = logs.reshape(len(units), -1)
     return out
 
 
@@ -263,21 +264,10 @@ class _OrbitTables:
             raise ScenarioError(
                 f"orbit table of {n_pts} x {max_depth} cells exceeds the desk-scale cap"
             )
-        units = np.asarray([p.units for p in self.points], dtype=np.int64).reshape(
-            n_pts, scenario.model.dim
-        )
+        model = scenario.model
+        units = model.units_array(self.points)
         a = scenario.a
         a_inv = a.inverse()
-        fwd_pows = []
-        cur = scenario.model.identity()
-        for _ in range(max_depth):
-            cur = cur * a
-            fwd_pows.append(cur)
-        bwd_pows = [scenario.model.identity()]
-        cur = scenario.model.identity()
-        for _ in range(max_depth - 1):
-            cur = cur * a_inv
-            bwd_pows.append(cur)
         weights = scenario.weights
         self.fwd = [None] * scenario.L
         self.bwd = [None] * scenario.L
@@ -286,8 +276,8 @@ class _OrbitTables:
             d = max(depths[k] for k in sharing)
             if self.fwd[l] is not None or d == 0:
                 continue
-            logs_f = _orbit_log_weights(scenario.model, self.points, units, fwd_pows[:d], w)
-            logs_b = _orbit_log_weights(scenario.model, self.points, units, bwd_pows[:d], w)
+            logs_f = _orbit_log_weights(model, units, a, np.arange(1, d + 1), w)
+            logs_b = _orbit_log_weights(model, units, a_inv, np.arange(d), w)
             zero = np.zeros((n_pts, 1))
             fwd = np.hstack([zero, np.cumsum(logs_f, axis=1)])
             bwd = np.hstack([zero, np.cumsum(logs_b, axis=1)])
@@ -681,39 +671,57 @@ def build_periodic_point(
     """
     if n < 1 or t_max < 0:
         raise DynamicsError("need n >= 1 and t_max >= 0")
-    base = E.elements
-    cur_set = E
-    an = op.a**n
-    for _ in range(2 * t_max):
-        cur_set = cur_set.translate(an)
-        if not base.isdisjoint(cur_set.elements):
-            raise DisjointnessViolatedError(
-                f"translates of E by powers of a^{n} are not pairwise disjoint"
-            )
+    if _translates_meet(E, op.a**n, 2 * t_max):
+        raise DisjointnessViolatedError(
+            f"translates of E by powers of a^{n} are not pairwise disjoint"
+        )
     if epsilon is not None and t_max >= 1:
-        worst = 0.0
-        for x in E:
-            s = sum(
-                op.cocycle_fwd(t * n, x) + op.cocycle_bwd(t * n, x)
-                for t in range(1, t_max + 1)
-            )
-            worst = max(worst, s)
+        fwd, bwd = op.cocycles(E.model.units_array(E.elements), n, t_max)
+        worst = float(np.max(np.cumsum(fwd + bwd, axis=1)[:, -1], initial=0.0))
         if not worst < epsilon:
             raise NotChaoticAtNError(
                 f"cocycle series {worst} not below epsilon={epsilon} at n={n}"
             )
     f_e = f.restrict(E)
-    p = f_e
-    cur = f_e
-    for _ in range(t_max):
-        cur = op.apply_inv(cur, n)
-        p = p + cur
-    bwd_last = cur
-    cur = f_e
-    for _ in range(t_max):
-        cur = op.apply(cur, n)
-        p = p + cur
-    fwd_beyond = op.apply(cur, n)
+    model = op.model
+    fwd_units, fwd = op.orbit(f_e, n, t_max + 1)
+    parts = [(fwd_units[:, :-1], fwd[:, :-1])]
+    bwd_last = f_e
+    if t_max:
+        bwd_units, bwd = op.orbit(f_e, n, t_max, inverse=True)
+        parts.insert(0, (bwd_units, bwd))
+        bwd_last = OrliczVector.from_arrays(model, bwd_units[:, -1], bwd[:, -1])
+    # p = f chi_E, then S^{mn} and T^{mn} (f chi_E) for m = 1..t_max, one
+    # translate after the other.  The translates E a^(mn), |m| <= t_max, are
+    # pairwise disjoint, so no key repeats; entries that underflowed to 0.0
+    # drop out, as in a sum of vectors.
+    units = np.concatenate([u.transpose(1, 0, 2).reshape(-1, model.dim) for u, _ in parts])
+    values = np.concatenate([v.T.reshape(-1) for _, v in parts])
+    keep = values != 0.0
+    entries = dict(f_e.items())
+    entries.update(zip(model.elements(units[keep]), values[keep].tolist()))
+    p = OrliczVector(f_e.model)
+    p._entries = entries
     # residual of the truncation: T^{(t_max+1)n}(f chi_E) - S^{t_max n}(f chi_E)
+    fwd_beyond = OrliczVector.from_arrays(model, fwd_units[:, -1], fwd[:, -1])
     tail_bound = fwd_beyond.luxemburg_norm(phi) + bwd_last.luxemburg_norm(phi)
     return PeriodicPointResult(point=p, tail_bound=tail_bound, n=n, t_max=t_max)
+
+
+def _translates_meet(E: CompactSet, b: GroupElement, count: int) -> bool:
+    """Whether E meets some E b^k, k = 1..count: one membership test on
+    unit rows per block of translates.
+
+    A walk off the lattice fails at its first step, or at its second when
+    den(b_1 h) divides every x_0 but not b_0; then E cannot meet E b, so
+    the error is the one a scan one translate at a time raises first.
+    """
+    rows = E.model.units_array(E.elements)
+    if not len(rows):
+        return False
+    block = max(1, ORBIT_BLOCK_CELLS // len(rows))
+    for k in range(1, count + 1, block):
+        moved = E.model.orbit_units(rows, b, np.arange(k, min(k + block, count + 1)))
+        if (row_index(moved.reshape(-1, E.model.dim), rows) >= 0).any():
+            return True
+    return False

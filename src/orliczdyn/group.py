@@ -13,6 +13,10 @@ The Heisenberg product is (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y') and
 the inverse is (x,y,z)^-1 = (-x,-y,xy-z).  On a lattice the twist x*y'
 must land back on the lattice; products that do not raise OffLatticeError
 (the check is exact, via a rational reading of h).
+
+Hot paths work on (N, d) unit arrays instead of scalar elements:
+``GroupModel.orbit_units`` gives whole orbits x * b^j in closed form and
+``row_index`` matches unit rows exactly.
 """
 
 from __future__ import annotations
@@ -23,9 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 KINDS = ("int_line", "int_lattice", "heisenberg_int", "lattice_line", "heisenberg_lattice")
 _HEISENBERG_KINDS = ("heisenberg_int", "heisenberg_lattice")
 _LATTICE_KINDS = ("lattice_line", "heisenberg_lattice")
+_INT64_MAX = 2**63 - 1
 
 
 class GroupError(Exception):
@@ -138,6 +145,90 @@ class GroupModel:
             )
         return int(tw)
 
+    def units_array(self, elements) -> np.ndarray:
+        """(N, d) units of the elements, in iteration order: int64, or exact
+        Python ints when some coordinate does not fit in int64."""
+        rows = [e.units for e in elements]
+        try:
+            return np.array(rows, dtype=np.int64).reshape(len(rows), self.dim)
+        except OverflowError:
+            return np.array(rows, dtype=object).reshape(len(rows), self.dim)
+
+    def elements(self, units) -> list:
+        """The elements of the rows of an (N, d) units array, in row order."""
+        return [GroupElement(self, u) for u in map(tuple, units.tolist())]
+
+    def orbit_units(self, units, b: "GroupElement", j) -> np.ndarray:
+        """(N, J, d) units of x * b^j for every row x of ``units`` and j >= 0.
+
+        Closed form: every coordinate moves by j * b, and on Heisenberg
+        kinds z also collects the twists x_0 * j * b_1 * h and
+        j (j-1)/2 * b_0 * b_1 * h of the walk x, x b, x b^2, ...  A lattice
+        walk that leaves the lattice raises OffLatticeError at the step and
+        row where that walk, taken one product at a time, would.  The result
+        is int64 when a bound computed from the inputs keeps every
+        intermediate inside int64, and exact Python ints otherwise; it
+        never wraps.
+        """
+        if b.model != self:
+            raise ModelMismatchError("step element from a different model")
+        units = np.asarray(units)
+        j = np.asarray(j, dtype=np.int64)
+        steps = int(j.max()) if j.size else 0
+        num, den = (b.units[1], 1) if self.is_heisenberg else (0, 1)
+        if self.kind == "heisenberg_lattice":
+            rate = b.units[1] * _h_fraction(self.h)
+            num, den = rate.numerator, rate.denominator
+            if den != 1 and steps and len(units):
+                self._check_walk(units[:, 0], b, den, steps)
+        x_max = int(np.abs(units).max()) if units.size else 0
+        b_max = max(abs(u) for u in b.units)
+        bound = x_max + steps * b_max + (steps * x_max + (b_max + 1) * steps * steps) * max(
+            abs(num), 1
+        )
+        dtype = np.int64 if bound <= _INT64_MAX else object
+        x = units.astype(dtype, copy=False)
+        jj = j.astype(dtype, copy=False)
+        out = x[:, None, :] + jj[None, :, None] * np.array(b.units, dtype=dtype)
+        if self.is_heisenberg:
+            # sum over the steps s < j of the twist (x_0 + s b_0) * b_1 * h
+            walk = jj[None, :] * x[:, 0, None] + b.units[0] * (jj * (jj - 1) // 2)[None, :]
+            out[:, :, 2] += walk // den * num
+        return out
+
+    def _check_walk(self, x0, b: "GroupElement", den: int, steps: int):
+        """Raise where the walk x, x b, ... first leaves the lattice.
+
+        With b_1 h = num/den in lowest terms, the twist of the step from
+        x b^s is an integer iff den divides x_0 + s b_0: for all s < steps
+        exactly when den divides x_0 and, if steps > 1, b_0.  So a walk can
+        only fail at its first or second step.  The failing product itself
+        raises, with its own message.
+        """
+        bad = np.flatnonzero(x0 % den)
+        if bad.size:
+            self._twist_units((int(x0[bad[0]]),), b.units)
+        if steps > 1 and b.units[0] % den:
+            self._twist_units((int(x0[0]) + b.units[0],), b.units)
+
+
+def row_index(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index in ``keys`` (distinct rows) of each row of ``rows``, -1 if absent.
+
+    Rows are compared whole after one lexsort, so the match is exact for
+    int64 and Python-int unit arrays alike.
+    """
+    both = np.concatenate([keys, rows])
+    order = np.lexsort(both.T[::-1])
+    ranked = both[order]
+    new = np.ones(len(both), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(both), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    slot = np.full(len(both), -1, dtype=np.int64)
+    slot[ids[: len(keys)]] = np.arange(len(keys))
+    return slot[ids[len(keys) :]]
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -170,13 +261,10 @@ class GroupElement:
         return GroupElement(self.model, tuple(-x for x in u))
 
     def __pow__(self, n: int) -> "GroupElement":
-        if n == 0:
-            return self.model.identity()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        origin = np.zeros((1, self.model.dim), dtype=np.int64)
+        units = self.model.orbit_units(origin, base, [abs(n)])[0, 0]
+        return GroupElement(self.model, tuple(int(u) for u in units))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,14 @@ class OrliczVector:
         return cls(model)
 
     @classmethod
+    def from_arrays(cls, model: GroupModel, units, values) -> "OrliczVector":
+        """Entries from the rows of an (N, d) units array (distinct points)
+        and N values, in row order; zero values are kept."""
+        out = cls(model)
+        out._entries = dict(zip(model.elements(units), values.tolist()))
+        return out
+
+    @classmethod
     def point_mass(cls, x: GroupElement, value: float = 1.0) -> "OrliczVector":
         return cls(x.model, {x: value})
 

@@ -10,17 +10,38 @@ dynamics:
 
 Products switch to log-space accumulation past 64 factors so that long
 geometric products neither under- nor overflow midway.
+
+``apply``, ``apply_inv`` and ``orbit`` walk orbits on unit arrays: the
+points x * a^j come in closed form from ``GroupModel.orbit_units``, each
+weight rule evaluates a whole block of them at once (``Weight.on_units``),
+and the values are folded with ``np.multiply.accumulate`` (``np.divide``
+for the inverse) along the step axis.  An accumulate rounds after every
+step, in step order, exactly as the step-by-step operator does; a
+``prod`` or ``reduce`` may reorder the factors and round differently.
+Steps go in blocks of ORBIT_BLOCK_CELLS points times steps, carrying the
+running values, so memory does not grow with n.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .group import CompactSet, EmptySetError, GroupElement, GroupModel, ModelMismatchError
+import numpy as np
+
+from .group import (
+    CompactSet,
+    EmptySetError,
+    GroupElement,
+    GroupModel,
+    ModelMismatchError,
+    row_index,
+)
 from .orlicz import OrliczVector
 
 LOG_SPACE_SWITCH = 64
+ORBIT_BLOCK_CELLS = 1 << 15
 
 
 class WeightError(Exception):
@@ -35,6 +56,10 @@ class Weight:
 
     def log_value(self, x: GroupElement) -> float:
         return math.log(self(x))
+
+    def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
+        """w at every row of an (N, d) units array, bit for bit ``__call__``."""
+        return np.array([self(e) for e in model.elements(units)], dtype=np.float64)
 
     def sup_bound(self) -> float:
         """Global upper bound for w (finite by construction)."""
@@ -73,6 +98,9 @@ class ConstantWeight(Weight):
     def __call__(self, x: GroupElement) -> float:
         return self.c
 
+    def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
+        return np.full(len(units), self.c)
+
     def sup_bound(self) -> float:
         return self.c
 
@@ -105,6 +133,13 @@ class ClampExpWeight(Weight):
         c = x.real[self.coord]
         return self.base ** (-min(max(c, self.lo), self.hi))
 
+    def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
+        real = units[:, self.coord].astype(np.float64) * model.h
+        clamped = np.minimum(np.maximum(real, self.lo), self.hi)
+        distinct, where = np.unique(clamped, return_inverse=True)
+        # Python's power once per distinct value: np.power may differ in the last bit
+        return np.array([self.base ** -c for c in distinct.tolist()])[where.reshape(-1)]
+
     def sup_bound(self) -> float:
         return max(self.base**-self.lo, self.base**-self.hi)
 
@@ -119,6 +154,8 @@ class TableWeight(Weight):
         if not (default > 0 and math.isfinite(default)):
             raise WeightError("table default must be positive and finite")
         for k, v in table.items():
+            if not all(isinstance(u, numbers.Integral) for u in k):
+                raise WeightError(f"table key {k} must be a tuple of integer lattice units")
             if not (v > 0 and math.isfinite(v)):
                 raise WeightError(f"table value at {k} must be positive and finite")
         self.table = dict(table)
@@ -126,6 +163,18 @@ class TableWeight(Weight):
 
     def __call__(self, x: GroupElement) -> float:
         return self.table.get(x.units, self.default)
+
+    def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
+        exact = units.dtype == object
+        entries = [
+            (k, v)
+            for k, v in self.table.items()
+            if len(k) == model.dim and (exact or all(-(2**63) <= u < 2**63 for u in k))
+        ]
+        keys = np.array([k for k, _ in entries], dtype=units.dtype).reshape(-1, model.dim)
+        # row_index gives -1 off the table, which picks the appended default
+        values = np.array([v for _, v in entries] + [self.default], dtype=np.float64)
+        return values[row_index(units, keys)]
 
     def sup_bound(self) -> float:
         return max([self.default, *self.table.values()])
@@ -160,16 +209,10 @@ class WeightedTranslation:
         """n-fold application of x -> w(x) f(x a^-1); n = 0 is the identity."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        w, a = self.weight, self.a
-        out = f
-        for _ in range(n):
-            nxt = OrliczVector(self.model)
-            nxt._entries = {}
-            for x, v in out.items():
-                y = x * a
-                nxt._entries[y] = w(y) * v
-            out = nxt
-        return out
+        if n == 0:
+            return f
+        units, values = self.orbit(f, n, 1)
+        return OrliczVector.from_arrays(self.model, units[:, 0], values[:, 0])
 
     def apply_inv(self, h: OrliczVector, n: int = 1) -> OrliczVector:
         """n-fold application of x -> h(x a) / w(x a), the right inverse.
@@ -179,15 +222,72 @@ class WeightedTranslation:
         """
         if n < 0:
             raise ValueError("n must be >= 0")
-        w, a_inv = self.weight, self.a.inverse()
-        out = h
-        for _ in range(n):
-            nxt = OrliczVector(self.model)
-            nxt._entries = {}
-            for x, v in out.items():
-                nxt._entries[x * a_inv] = v / w(x)
-            out = nxt
-        return out
+        if n == 0:
+            self.a.inverse()  # a^-1 must exist on the lattice even when nothing moves
+            return h
+        units, values = self.orbit(h, n, 1, inverse=True)
+        return OrliczVector.from_arrays(self.model, units[:, 0], values[:, 0])
+
+    def orbit(self, f: OrliczVector, n: int, count: int, inverse: bool = False):
+        """Support and values of T^n f, T^2n f, ..., T^(count n) f from one
+        walk of count * n steps; with ``inverse`` the same for S.
+
+        Returns (units, values) of shapes (N, count, d) and (N, count), row
+        i following the i-th key of f.  Values that underflow to 0.0 keep
+        their rows.
+        """
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        model = self.model
+        step = self.a.inverse() if inverse else self.a
+        if f.is_zero():
+            return np.zeros((0, count, model.dim), dtype=np.int64), np.zeros((0, count))
+        if f.model != model:
+            raise ModelMismatchError("elements belong to different group models")
+        units = model.units_array(f.support)
+        values = np.fromiter(f._entries.values(), dtype=np.float64, count=len(f))
+        ends = model.orbit_units(units, step, n * np.arange(1, count + 1))
+        # T multiplies by w where a step lands (x a^j, j >= 1); S divides by
+        # w where it starts (x a^-j, j >= 0)
+        fold = np.divide if inverse else np.multiply
+        return ends, self._fold(units, values, step, 0 if inverse else 1, fold, count * n, n)
+
+    def cocycles(self, units, n: int, count: int):
+        """``cocycle_fwd`` and ``cocycle_bwd`` at n, 2n, ..., count n for every
+        row of an (N, d) units array: two (N, count) arrays, bit for bit."""
+        a, a_inv = self.a, self.a.inverse()
+        short = min(count, LOG_SPACE_SWITCH // n)  # columns with at most 64 factors
+        ones, zeros = np.ones(len(units)), np.zeros(len(units))
+        fwd = self._fold(units, ones, a, 1, np.multiply, short * n, n)
+        bwd = 1.0 / self._fold(units, ones, a_inv, 0, np.multiply, short * n, n)
+        if short < count:
+            logs_f = self._fold(units, zeros, a, 1, np.add, count * n, n, log=True)[:, short:]
+            logs_b = self._fold(units, zeros, a_inv, 0, np.add, count * n, n, log=True)[:, short:]
+            exp_f = [[math.exp(v) for v in row] for row in logs_f.tolist()]
+            exp_b = [[math.exp(-v) for v in row] for row in logs_b.tolist()]
+            fwd = np.hstack([fwd, np.array(exp_f).reshape(logs_f.shape)])
+            bwd = np.hstack([bwd, np.array(exp_b).reshape(logs_b.shape)])
+        return fwd, bwd
+
+    def _fold(self, units, start, step, first, fold, n_steps, every, log=False) -> np.ndarray:
+        """(N, n_steps // every): ``start`` folded by ``fold`` with w (or log w)
+        at x step^(first + s), s = 0, 1, ..., read after every, 2 every, ...
+        steps.  The accumulate applies the steps in order, rounding after
+        each, in blocks that carry the running values."""
+        model, n_pts = self.model, len(start)
+        block = max(1, ORBIT_BLOCK_CELLS // max(n_pts, 1))
+        cur = start[:, None]
+        cols = [np.empty((n_pts, 0))]
+        with np.errstate(over="ignore"):
+            for s0 in range(0, n_steps, block):
+                js = np.arange(s0, min(s0 + block, n_steps))
+                pts = model.orbit_units(units, step, js + first).reshape(-1, model.dim)
+                w = self.weight.on_units(model, pts)
+                w = (log_values(w) if log else w).reshape(n_pts, len(js))
+                run = fold.accumulate(np.concatenate([cur, w], axis=1), axis=1)
+                cols.append(run[:, 1:][:, (js + 1) % every == 0])
+                cur = run[:, -1:]
+        return np.hstack(cols)
 
     def cocycle_fwd(self, n: int, x: GroupElement) -> float:
         """prod_{j=1..n} w(x * a^j)."""
@@ -224,6 +324,13 @@ class WeightedTranslation:
             acc += w.log_value(cur)
             cur = cur * a_inv
         return math.exp(-acc)
+
+
+def log_values(values: np.ndarray) -> np.ndarray:
+    """math.log of every entry, once per distinct value: the bits of
+    ``Weight.log_value`` (np.log may differ in the last bit)."""
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([math.log(v) for v in distinct.tolist()])[where.reshape(-1)]
 
 
 def sup_abs_on(values, E: CompactSet) -> float:

@@ -1,0 +1,94 @@
+"""Step-by-step reference implementations of the orbit walks.
+
+These are the scalar loops that ``WeightedTranslation.apply``/``apply_inv``,
+``build_periodic_point`` and ``GroupElement.__pow__`` replaced: one group
+product and one weight call per support point per step.  The tests hold
+the array walks to them bit for bit.
+"""
+
+from orliczdyn.dynamics import (
+    DisjointnessViolatedError,
+    DynamicsError,
+    NotChaoticAtNError,
+    PeriodicPointResult,
+)
+from orliczdyn.orlicz import OrliczVector
+
+
+def power(a, n):
+    if n == 0:
+        return a.model.identity()
+    base = a if n > 0 else a.inverse()
+    out = base
+    for _ in range(abs(n) - 1):
+        out = out * base
+    return out
+
+
+def apply(op, f, n=1):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    w, a = op.weight, op.a
+    out = f
+    for _ in range(n):
+        nxt = OrliczVector(op.model)
+        nxt._entries = {}
+        for x, v in out.items():
+            y = x * a
+            nxt._entries[y] = w(y) * v
+        out = nxt
+    return out
+
+
+def apply_inv(op, h, n=1):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    w, a_inv = op.weight, op.a.inverse()
+    out = h
+    for _ in range(n):
+        nxt = OrliczVector(op.model)
+        nxt._entries = {}
+        for x, v in out.items():
+            nxt._entries[x * a_inv] = v / w(x)
+        out = nxt
+    return out
+
+
+def build_periodic_point(op, phi, f, E, n, t_max, epsilon=None):
+    if n < 1 or t_max < 0:
+        raise DynamicsError("need n >= 1 and t_max >= 0")
+    base = E.elements
+    cur_set = E
+    an = power(op.a, n)
+    for _ in range(2 * t_max):
+        cur_set = cur_set.translate(an)
+        if not base.isdisjoint(cur_set.elements):
+            raise DisjointnessViolatedError(
+                f"translates of E by powers of a^{n} are not pairwise disjoint"
+            )
+    if epsilon is not None and t_max >= 1:
+        worst = 0.0
+        for x in E:
+            s = sum(
+                op.cocycle_fwd(t * n, x) + op.cocycle_bwd(t * n, x)
+                for t in range(1, t_max + 1)
+            )
+            worst = max(worst, s)
+        if not worst < epsilon:
+            raise NotChaoticAtNError(
+                f"cocycle series {worst} not below epsilon={epsilon} at n={n}"
+            )
+    f_e = f.restrict(E)
+    p = f_e
+    cur = f_e
+    for _ in range(t_max):
+        cur = apply_inv(op, cur, n)
+        p = p + cur
+    bwd_last = cur
+    cur = f_e
+    for _ in range(t_max):
+        cur = apply(op, cur, n)
+        p = p + cur
+    fwd_beyond = apply(op, cur, n)
+    tail_bound = fwd_beyond.luxemburg_norm(phi) + bwd_last.luxemburg_norm(phi)
+    return PeriodicPointResult(point=p, tail_bound=tail_bound, n=n, t_max=t_max)

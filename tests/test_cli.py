@@ -136,12 +136,58 @@ class TestCheck:
             ({"n": 0}, "'witness.n'"),
             (5, "'witness'"),
             ({"f": [[1]]}, "'witness.f'"),
+            ({"targets": [[[[0], 1.0]]]}, "'witness.targets'"),
+            ({"f": [[[5], 1.0]]}, "'witness.f'"),
+            ({"targets": [[[[0], 1.0]], [[[3], 1.0]]]}, "'witness.targets'"),
         ],
-        ids=["n_text", "n_object", "n_negative", "n_zero", "not_object", "f_entry"],
+        ids=[
+            "n_text",
+            "n_object",
+            "n_negative",
+            "n_zero",
+            "not_object",
+            "f_entry",
+            "targets_count",
+            "f_escapes_K",
+            "target_escapes_K",
+        ],
     )
     def test_malformed_witness_exit_1(self, tmp_path, capsys, witness, field):
         doc = z_config(mode="witness", K={"points": [[0]]}, witness=witness)
         code, out = run_cli(tmp_path, doc)
+        assert code == 1
+        assert field in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"n_max": 16.9}, "'n_max'"),
+            ({"n_max": "16"}, "'n_max'"),
+            ({"n_max": True}, "'n_max'"),
+            ({"t_max": 20.5}, "'t_max'"),
+            ({"powers": [1.7, 2]}, "'powers'"),
+            ({"powers": [True, 2]}, "'powers'"),
+            ({"group": {"kind": "int_lattice", "d": 2.9}}, "'group.d'"),
+            ({"group": {"kind": "int_lattice", "d": "2"}}, "'group.d'"),
+            ({"weights": [dict(STEP_W, coord=0.5), STEP_W]}, "'weights[0].coord'"),
+            ({"weights": [STEP_W, dict(STEP_W, coord=-1)]}, "'weights[1].coord'"),
+        ],
+        ids=[
+            "n_max_fraction",
+            "n_max_text",
+            "n_max_bool",
+            "t_max_fraction",
+            "powers_fraction",
+            "powers_bool",
+            "d_fraction",
+            "d_text",
+            "coord_fraction",
+            "coord_negative",
+        ],
+    )
+    def test_integer_fields_exit_1(self, tmp_path, capsys, overrides, field):
+        code, out = run_cli(tmp_path, z_config(**overrides))
         assert code == 1
         assert field in capsys.readouterr().out
         assert not out.exists()

@@ -56,6 +56,8 @@ class TestWeights:
         assert w.sup_bound() == 4.0 and w.inf_bound() == 0.25
         with pytest.raises(WeightError):
             TableWeight({(0,): -1.0}, default=1.0)
+        with pytest.raises(WeightError):
+            TableWeight({(0.5,): 2.0}, default=1.0)  # keys are integer lattice units
 
     def test_lattice_uses_real_coordinates(self):
         m = GroupModel.lattice_line(0.5)

@@ -27,6 +27,7 @@ Quantities per operator index l (power r_l), at sweep index n:
                      one shared weight (the same-weight reduction)
 * ``series_l``       sum over t of fwd_l(t r_l n) + bwd_l(t r_l n),
                      truncated at t_max plus a certified geometric tail
+                     for each of the two directions
 
 All sweep values are accumulated in log space and exponentiated, which
 keeps long products exact to ~1e-13 relative.
@@ -42,7 +43,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _accel
-from .group import CompactSet, GroupElement, GroupModel, aperiodicity_bound, row_index
+from .group import (
+    AperiodicityCertificate,
+    CompactSet,
+    GroupElement,
+    GroupModel,
+    aperiodicity_bound,
+    row_index,
+)
 from .orlicz import OrliczVector
 from .translation import (
     ORBIT_BLOCK_CELLS,
@@ -180,6 +188,8 @@ class ConditionReport:
     rows: tuple  # (n, values tuple, e_deficit)
     sub_verdicts: tuple = ()
     meta: dict = field(default_factory=dict)
+    # None when no scan ran: under override, or refused before the scan
+    aperiodicity: AperiodicityCertificate | None = None
 
     @property
     def verified(self) -> bool:
@@ -209,6 +219,9 @@ class ConditionReport:
             "reason": self.reason,
             "columns": list(self.columns),
             "scenario": dict(self.meta),
+            "aperiodicity": None
+            if self.aperiodicity is None
+            else {"status": self.aperiodicity.status, "bound": self.aperiodicity.bound},
         }
         if self.sub_verdicts:
             doc["sub_verdicts"] = [dict(sv) for sv in self.sub_verdicts]
@@ -349,17 +362,32 @@ def _pairwise_columns(scenario, pair) -> tuple:
     return tuple(cols)
 
 
-def _series_quantities(tables, l, r_l, n, t_max):
-    """(trace, accept) for the chaos series of operator l."""
-    idx = np.arange(1, t_max + 1) * (r_l * n)
-    terms = np.exp(tables.fwd[l][:, idx]) + np.exp(-tables.bwd[l][:, idx])
-    trunc = np.sum(terms, axis=1)
+def _geometric_tail(terms):
+    """(certified, tail) of a series from the ratio of its last two terms:
+    the tail is certified when that ratio is below the cap (or the last
+    term is 0), and is then last * rho / (1 - rho), else 0."""
     last, prev = terms[:, -1], terms[:, -2]
     rho = np.where(prev > 0, last / np.where(prev > 0, prev, 1.0), np.inf)
     certified = (rho < _TAIL_RATIO_CAP) | (last == 0.0)
-    tail = np.where(certified & (last > 0), last * rho / (1.0 - rho), 0.0)
-    trace = trunc + np.where(certified, tail, 0.0)
-    accept = np.where(certified, trace, np.inf)
+    return certified, np.where(certified & (last > 0), last * rho / (1.0 - rho), 0.0)
+
+
+def _series_quantities(tables, l, r_l, n, t_max):
+    """(trace, accept) for the chaos series of operator l.
+
+    The forward and backward terms are two series with their own decay
+    rates, so each gets its own ratio and tail; the ratio of their sum
+    understates the slower one.  A point is accepted only when both tails
+    are certified.
+    """
+    idx = np.arange(1, t_max + 1) * (r_l * n)
+    fwd = np.exp(tables.fwd[l][:, idx])
+    bwd = np.exp(-tables.bwd[l][:, idx])
+    trunc = np.sum(fwd + bwd, axis=1)
+    fwd_ok, fwd_tail = _geometric_tail(fwd)
+    bwd_ok, bwd_tail = _geometric_tail(bwd)
+    trace = trunc + fwd_tail + bwd_tail
+    accept = np.where(fwd_ok & bwd_ok, trace, np.inf)
     return trace, accept
 
 
@@ -391,8 +419,7 @@ class _Condition(NamedTuple):
     tail: bool = False
 
 
-def _aperiodicity_refusal(scenario: Scenario) -> str | None:
-    cert = aperiodicity_bound(scenario.a, scenario.K, scenario.n_max)
+def _aperiodicity_refusal(cert: AperiodicityCertificate) -> str | None:
     if cert.status == "periodic":
         return (
             "translation element is periodic (identity or finite order); "
@@ -400,7 +427,7 @@ def _aperiodicity_refusal(scenario: Scenario) -> str | None:
         )
     if cert.status == "not_within_bound":
         return (
-            f"aperiodicity not certified within n_max={scenario.n_max}: "
+            f"aperiodicity not certified within n_max={cert.n_max}: "
             "K still meets its own translates at the bound"
         )
     return None
@@ -487,31 +514,34 @@ def _verdict_n(oks, tail: bool):
 def _run(scenario, conditions, override):
     """Refuse or sweep each condition; one aperiodicity scan in all.
 
-    Returns (verdict, n_star, reason, rows) per condition.  Refused
-    conditions add nothing to the table build.
+    Returns the aperiodicity certificate (None under override) and
+    (verdict, n_star, reason, rows) per condition.  Refused conditions add
+    nothing to the table build.
     """
+    cert = None
     if override:
         reasons = [None] * len(conditions)
     else:
-        base = _aperiodicity_refusal(scenario)
+        cert = aperiodicity_bound(scenario.a, scenario.K, scenario.n_max)
+        base = _aperiodicity_refusal(cert)
         reasons = [base or _weight_refusal(scenario, c.refuse_ops) for c in conditions]
     live = [c for c, reason in zip(conditions, reasons) if reason is None]
     swept = iter(_sweep(scenario, live) if live else ())
-    return [(VERDICT_REFUSED, None, r, ()) if r else next(swept) for r in reasons]
+    return cert, [(VERDICT_REFUSED, None, r, ()) if r else next(swept) for r in reasons]
 
 
-def _report(mode, scenario, cond, result, sub_verdicts=()) -> ConditionReport:
+def _report(mode, scenario, cond, result, sub_verdicts=(), cert=None) -> ConditionReport:
     verdict, n_star, reason, rows = result
     columns = tuple(c.name for c in cond.columns)
     return ConditionReport(
         mode, verdict, n_star, reason, columns, rows,
-        sub_verdicts=sub_verdicts, meta=scenario.summary(),
+        sub_verdicts=sub_verdicts, meta=scenario.summary(), aperiodicity=cert,
     )
 
 
 def _check(mode, scenario, cond, override) -> ConditionReport:
-    (result,) = _run(scenario, [cond], override)
-    return _report(mode, scenario, cond, result)
+    cert, (result,) = _run(scenario, [cond], override)
+    return _report(mode, scenario, cond, result, cert=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +585,19 @@ def check_same_weight(scenario: Scenario, override: bool = False) -> ConditionRe
         reason = "weights differ; the reduced check applies to one shared weight"
         return _report("same_weight", scenario, reduced, (VERDICT_REFUSED, None, reason, ()))
     general = _Condition(_pairwise_columns(scenario, _cross), ops)
-    result, check = _run(scenario, [reduced, general], override)
+    cert, (result, check) = _run(scenario, [reduced, general], override)
     if check[:2] != result[:2]:
         raise CheckerDisagreementError(
             f"reduced ({result[0]}, {result[1]}) vs general ({check[0]}, {check[1]})"
         )
-    return _report("same_weight", scenario, reduced, result)
+    return _report("same_weight", scenario, reduced, result, cert=cert)
 
 
 def check_chaotic(scenario: Scenario, op_index: int = 0, override: bool = False) -> ConditionReport:
     """Chaos check for a single operator: the cocycle series over E must
-    drop below epsilon, with a geometric tail certified from the ratio of
-    the last two truncated terms (ratio < 0.99 required)."""
+    drop below epsilon, with the geometric tail of the forward and of the
+    backward terms each certified from the ratio of its own last two
+    truncated terms (ratio < 0.99 required)."""
     if not 0 <= op_index < scenario.L:
         raise ScenarioError(f"op_index {op_index} out of range")
     if scenario.t_max < 8:
@@ -588,12 +619,12 @@ def check_disjoint_chaotic(scenario: Scenario, override: bool = False) -> Condit
     series = tuple(_series(scenario, l) for l in range(L))
     combined = _Condition(_pairwise_columns(scenario, _cross) + series, range(L))
     singles = [_Condition(_chaos_columns(scenario, l), (l,)) for l in range(L)]
-    result, *single_results = _run(scenario, [combined, *singles], override)
+    cert, (result, *single_results) = _run(scenario, [combined, *singles], override)
     sub = tuple(
         {"op": l + 1, "verdict": verdict, "n_star": n_star}
         for l, (verdict, n_star, _, _) in enumerate(single_results)
     )
-    return _report("disjoint_chaotic", scenario, combined, result, sub)
+    return _report("disjoint_chaotic", scenario, combined, result, sub, cert)
 
 
 # ---------------------------------------------------------------------------

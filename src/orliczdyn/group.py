@@ -16,7 +16,9 @@ must land back on the lattice; products that do not raise OffLatticeError
 
 Hot paths work on (N, d) unit arrays instead of scalar elements:
 ``GroupModel.orbit_units`` gives whole orbits x * b^j in closed form and
-``row_index`` matches unit rows exactly.
+``row_index`` matches unit rows exactly.  The aperiodicity scan moves all
+of K by a^n with one ``orbit_units`` call and tests K /\\ K*a^n with one
+``row_index`` call per n; only the powers a^n are scalar products.
 """
 
 from __future__ import annotations
@@ -215,10 +217,19 @@ class GroupModel:
 def row_index(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Index in ``keys`` (distinct rows) of each row of ``rows``, -1 if absent.
 
-    Rows are compared whole after one lexsort, so the match is exact for
-    int64 and Python-int unit arrays alike.
+    Rows outside the keys' bounding box cannot match and are dropped
+    first; the rest are compared whole after one lexsort, so the match is
+    exact for int64 and Python-int unit arrays alike.
     """
-    both = np.concatenate([keys, rows])
+    out = np.full(len(rows), -1, dtype=np.int64)
+    if not len(keys) or not len(rows):
+        return out
+    inside = np.flatnonzero(
+        ((rows >= keys.min(axis=0)) & (rows <= keys.max(axis=0))).all(axis=1)
+    )
+    if not inside.size:
+        return out
+    both = np.concatenate([keys, rows[inside]])
     order = np.lexsort(both.T[::-1])
     ranked = both[order]
     new = np.ones(len(both), dtype=bool)
@@ -227,7 +238,8 @@ def row_index(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     ids[order] = np.cumsum(new) - 1
     slot = np.full(len(both), -1, dtype=np.int64)
     slot[ids[: len(keys)]] = np.arange(len(keys))
-    return slot[ids[len(keys) :]]
+    out[inside] = slot[ids[len(keys) :]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -358,7 +370,11 @@ def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> Aperiodici
         raise GroupError("n_max must be >= 1")
     if a.is_identity:
         return AperiodicityCertificate("periodic", None, n_max)
-    base = K.elements
+    if a.model != K.model:
+        raise ModelMismatchError("elements belong to different group models")
+    # Rows in frozenset order, so a translate that leaves the lattice fails
+    # at the point of K where the product k * a^n would fail first.
+    rows = K.model.units_array(K.elements)
     last_hit = 0
     an = a.model.identity()
     for n in range(1, n_max + 1):
@@ -366,7 +382,8 @@ def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> Aperiodici
         if an.is_identity:
             return AperiodicityCertificate("periodic", None, n_max)
         # K /\ K*a^-n is empty iff K /\ K*a^n is, so one direction suffices.
-        if not base.isdisjoint(frozenset(k * an for k in base)):
+        moved = K.model.orbit_units(rows, an, [1])[:, 0]
+        if (row_index(moved, rows) >= 0).any():
             last_hit = n
     if last_hit >= n_max:
         return AperiodicityCertificate("not_within_bound", None, n_max)

@@ -167,10 +167,11 @@ class OrliczVector:
         grid cannot certify the bracket the norm raises OutOfGridError
         rather than extrapolating.
         """
-        if not self._entries:
-            return 0.0
         vals = self.abs_values()
-        amax = float(np.max(vals))
+        amax = float(vals.max(initial=0.0))
+        if amax == 0.0:
+            # no entries, or only entries that underflowed to 0.0
+            return 0.0
         mass = self.model.haar_cell_mass
         code, p, gt, gy = phi._kernel_args()
 

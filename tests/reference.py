@@ -1,9 +1,10 @@
 """Step-by-step reference implementations of the orbit walks.
 
 These are the scalar loops that ``WeightedTranslation.apply``/``apply_inv``,
-``build_periodic_point`` and ``GroupElement.__pow__`` replaced: one group
-product and one weight call per support point per step.  The tests hold
-the array walks to them bit for bit.
+``build_periodic_point``, ``GroupElement.__pow__`` and the translate scan
+of ``aperiodicity_bound`` replaced: one group product and one weight call
+per support point per step.  The tests hold the array walks to them bit
+for bit.
 """
 
 from orliczdyn.dynamics import (
@@ -12,6 +13,7 @@ from orliczdyn.dynamics import (
     NotChaoticAtNError,
     PeriodicPointResult,
 )
+from orliczdyn.group import AperiodicityCertificate, EmptySetError, GroupError
 from orliczdyn.orlicz import OrliczVector
 
 
@@ -23,6 +25,27 @@ def power(a, n):
     for _ in range(abs(n) - 1):
         out = out * base
     return out
+
+
+def aperiodicity_bound(a, K, n_max):
+    if len(K) == 0:
+        raise EmptySetError("aperiodicity scan needs a nonempty set")
+    if n_max < 1:
+        raise GroupError("n_max must be >= 1")
+    if a.is_identity:
+        return AperiodicityCertificate("periodic", None, n_max)
+    base = K.elements
+    last_hit = 0
+    an = a.model.identity()
+    for n in range(1, n_max + 1):
+        an = an * a
+        if an.is_identity:
+            return AperiodicityCertificate("periodic", None, n_max)
+        if not base.isdisjoint(frozenset(k * an for k in base)):
+            last_hit = n
+    if last_hit >= n_max:
+        return AperiodicityCertificate("not_within_bound", None, n_max)
+    return AperiodicityCertificate("aperiodic", last_hit, n_max)
 
 
 def apply(op, f, n=1):

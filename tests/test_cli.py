@@ -58,6 +58,20 @@ class TestCheck:
         assert "verified" in capsys.readouterr().out
         assert (out / "trace.csv").exists()
 
+    def test_report_carries_aperiodicity_certificate(self, tmp_path):
+        doc = heis_config(K={"box": {"lo": [-6, -6, -6], "hi": [6, 6, 6]}}, n_max=24)
+        run_cli(tmp_path, doc)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        trace = (tmp_path / "out" / "trace.csv").read_text()
+        assert report["aperiodicity"] == {"status": "aperiodic", "bound": 6}
+        run_cli(tmp_path, doc, extra=["--override-diagnostics"])
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["aperiodicity"] is None
+        assert (tmp_path / "out" / "trace.csv").read_text() == trace
+        code, out = run_cli(tmp_path, z_config(n_max=5))
+        assert code == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["aperiodicity"] == {"status": "not_within_bound", "bound": None}
+
     def test_flat_weight_exit_3(self, tmp_path, capsys):
         doc = z_config(weights=[{"rule": "constant", "c": 1.0}] * 2)
         code, out = run_cli(tmp_path, doc)

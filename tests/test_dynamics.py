@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from orliczdyn import _accel, dynamics
@@ -311,6 +313,41 @@ class TestChaotic:
     def test_requires_depth(self):
         with pytest.raises(ScenarioError):
             check_chaotic(z_scenario(n_max=4, t_max=4), op_index=0)
+
+    def test_slow_backward_tail_not_hidden_by_fast_forward(self):
+        # From x = -6 the forward terms fall by 1/4 a step once past z = 2,
+        # but the backward terms only by 2^-0.02; the ratio of the summed
+        # last two terms certified a tail of about 1 and a series of 17.03.
+        w = ClampExpWeight(base=2.0, coord=0, lo=-0.02, hi=2.0)
+        s = z_scenario(eps=50.0, n_max=1, weights=(w,), powers=(1,), t_max=8)
+        s = dataclasses.replace(s, K=CompactSet.from_elements(ZLINE, [ZLINE.element([-6])]))
+        rep = check_chaotic(s, op_index=0)
+        r = 2.0**-0.02
+        fwd = sum(2.0 ** (0.02 * t) for t in range(1, 6)) + 2.0**0.1 + 2.0**-0.9 * 4 / 3
+        exact = fwd + r / (1.0 - r)  # 78.6355...
+        assert rep.value(1, "series_1") == pytest.approx(exact, rel=1e-11)
+        assert rep.verdict == VERDICT_NOT_VERIFIED
+
+    @pytest.mark.parametrize("lo,hi", [(-0.02, 2.0), (-0.5, 0.5), (-2.0, 0.01), (-1.0, 3.0)])
+    def test_certified_series_bounds_long_sum(self, lo, hi):
+        """On the line every step ratio of a clamp_exp orbit is monotone, so
+        a certified tail is an upper bound: check it against 20000 terms."""
+        w = ClampExpWeight(base=2.0, coord=0, lo=lo, hi=hi)
+        terms, checked = 20000, 0
+        for x in (-6, -1, 0, 3):
+            s = z_scenario(eps=1.0, n_max=3, weights=(w,), powers=(1,), t_max=8)
+            s = dataclasses.replace(s, K=CompactSet.from_elements(ZLINE, [ZLINE.element([x])]))
+            tables = dynamics._OrbitTables(s, [3 * s.t_max])
+            for n in (1, 2, 3):
+                steps = np.arange(1, terms * n + 1)
+                fwd = np.cumsum(-np.clip(x + steps, lo, hi) * math.log(2.0))[n - 1 :: n]
+                bwd = np.cumsum(np.clip(x + 1 - steps, lo, hi) * math.log(2.0))[n - 1 :: n]
+                long_sum = np.sum(np.exp(fwd)) + np.sum(np.exp(bwd))
+                trace, accept = dynamics._series_quantities(tables, 0, 1, n, s.t_max)
+                if np.isfinite(accept[0]):
+                    assert accept[0] >= long_sum * (1 - 1e-12)
+                    checked += 1
+        assert checked >= 8
 
 
 class TestDisjointChaotic:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from samples import ALL_MODELS, random_element
 from orliczdyn.group import (
     CompactSet,
@@ -11,6 +12,7 @@ from orliczdyn.group import (
     OffLatticeError,
     aperiodicity_bound,
     haar,
+    row_index,
 )
 
 HEIS = GroupModel.heisenberg_int()
@@ -167,6 +169,103 @@ class TestAperiodicity:
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError):
             aperiodicity_bound(ZLINE.element([1]), CompactSet.box(ZLINE, [2], [1]), 10)
+
+
+def _scan_outcome(scan, a, K, n_max):
+    try:
+        return scan(a, K, n_max)
+    except GroupError as exc:
+        return type(exc), str(exc)
+
+
+def _random_scan_case(model, rng):
+    """A random K of 1-30 points and a random a, both on the sublattice of
+    a random stride, so translates meet K often and lattice twists both
+    stay on and leave the lattice."""
+    stride = int(rng.choice([1, 1, 2, 3]))
+    span = int(rng.integers(1, 6))
+    pts = rng.integers(-span, span + 1, size=(int(rng.integers(1, 31)), model.dim))
+    K = CompactSet.from_elements(model, [model.element_units(p) for p in (pts * stride).tolist()])
+    a = model.element_units((rng.integers(-2, 3, size=model.dim) * stride).tolist())
+    return a, K
+
+
+class TestAperiodicityMatchesReference:
+    """The array scan against the scalar loop it replaced: same certificate,
+    or the same exception with the same message."""
+
+    @pytest.mark.parametrize(
+        "seed,model",
+        enumerate(ALL_MODELS + [GroupModel.heisenberg_lattice(1 / 3)]),
+        ids=lambda v: f"{v.kind}-{v.h:.3g}" if isinstance(v, GroupModel) else str(v),
+    )
+    def test_random_sets(self, seed, model):
+        rng = np.random.default_rng(seed)
+        seen = set()
+        for n_max in (1, 2, 3, 7, 20, 60):
+            for _ in range(25):
+                a, K = _random_scan_case(model, rng)
+                want = _scan_outcome(reference.aperiodicity_bound, a, K, n_max)
+                assert _scan_outcome(aperiodicity_bound, a, K, n_max) == want
+                seen.add(want.status if hasattr(want, "status") else want[0])
+        assert {"aperiodic", "not_within_bound", "periodic"} <= seen
+        if model.kind == "heisenberg_lattice":
+            assert OffLatticeError in seen
+
+    def test_heisenberg_past_int64(self):
+        big = 2**63
+        K = CompactSet.from_elements(
+            HEIS,
+            [
+                HEIS.element_units((x, y, big + z))
+                for x in range(-2, 3)
+                for y in (0, 1)
+                for z in (-1, 0, 1)
+            ],
+        )
+        bounds = set()
+        for a_units in [(0, 1, 0), (1, 0, 1), (1, 1, big), (1, 0, -big), (2, 3, 0)]:
+            a = HEIS.element_units(a_units)
+            for n_max in (1, 7, 20):
+                want = reference.aperiodicity_bound(a, K, n_max)
+                assert aperiodicity_bound(a, K, n_max) == want
+                bounds.add(want.bound)
+        assert {0, 1} <= bounds  # some translates meet K, some do not
+
+    def test_model_mismatch_message(self):
+        K = CompactSet.box(GroupModel.lattice_line(0.5), [-1], [1])
+        a = ZLINE.element([1])
+        want = _scan_outcome(reference.aperiodicity_bound, a, K, 5)
+        assert want[0] is ModelMismatchError
+        assert _scan_outcome(aperiodicity_bound, a, K, 5) == want
+
+
+class TestRowIndex:
+    KEYS = np.array([[0, 0], [2, -1], [1, 3]])
+
+    def test_matches_and_misses(self):
+        rows = np.array([[1, 3], [5, 5], [0, 0], [2, 0], [2, -1]])
+        assert row_index(rows, self.KEYS).tolist() == [2, -1, 0, -1, 1]
+
+    def test_empty_keys(self):
+        rows = np.array([[1, 3], [0, 0]])
+        assert row_index(rows, np.zeros((0, 2), dtype=np.int64)).tolist() == [-1, -1]
+
+    def test_empty_rows(self):
+        out = row_index(np.zeros((0, 2), dtype=np.int64), self.KEYS)
+        assert out.shape == (0,) and out.dtype == np.int64
+
+    def test_rows_outside_the_box(self):
+        rows = np.array([[3, 0], [-1, 0], [0, 4], [0, -2]])
+        assert row_index(rows, self.KEYS).tolist() == [-1] * 4
+
+    def test_object_rows(self):
+        big = 2**70
+        rows = np.array([[1, 3], [big, 0], [0, -big], [2, -1]], dtype=object)
+        assert row_index(rows, self.KEYS).tolist() == [2, -1, -1, 1]
+        keys = np.array([[big, 1], [0, 0]], dtype=object)
+        rows = np.array([[big, 1], [big + 1, 1], [0, 0], [big, 0]], dtype=object)
+        assert row_index(rows, keys).tolist() == [0, -1, 1, -1]
 
 
 class TestConfig:

@@ -145,6 +145,17 @@ def test_underflow_to_zero_stays_in_support():
     assert model.element([2]) not in got.point.support
 
 
+def test_periodic_point_whose_forward_tail_underflows():
+    model = GroupModel.int_line()
+    op = WeightedTranslation(model, model.element([1]), ConstantWeight(1e-200))
+    E = CompactSet.from_elements(model, [model.element([0])])
+    got = build_periodic_point(op, PHI, indicator(E), E, 1, 1)
+    want = reference.build_periodic_point(op, PHI, indicator(E), E, 1, 1)
+    assert bits(got.point) == bits(want.point)
+    # T^2 chi_E underflows to 0.0, so only S chi_E (1e200 at -1) is left
+    assert got.tail_bound == want.tail_bound == op.apply_inv(indicator(E)).luxemburg_norm(PHI)
+
+
 def test_heisenberg_lattice_twist_raises_where_the_loop_does():
     model = GroupModel.heisenberg_lattice(0.5)
     op = WeightedTranslation(model, model.element_units([1, 1, 0]), ConstantWeight(2.0))

@@ -6,6 +6,7 @@ import pytest
 from samples import ALL_MODELS, random_element, random_vector
 from orliczdyn.group import CompactSet, GroupModel, ModelMismatchError
 from orliczdyn.orlicz import OrliczVector, indicator
+from orliczdyn.translation import ConstantWeight, WeightedTranslation
 from orliczdyn.young import CustomYoung, OutOfGridError, PowerLogYoung, PowerYoung
 
 ZLINE = GroupModel.int_line()
@@ -122,6 +123,14 @@ class TestLuxemburgNorm:
         assert (f - f).is_zero()
         assert (f - f).luxemburg_norm(P2) == 0.0
         assert f.luxemburg_norm(P2) > 0.0
+
+    def test_underflowed_entries_have_norm_zero(self):
+        op = WeightedTranslation(ZLINE, ZLINE.element([1]), ConstantWeight(1e-200))
+        f = op.apply(OrliczVector.point_mass(ZLINE.element([0])), 2)
+        assert len(f) == 1 and not f.is_zero()  # 1e-400 underflowed to 0.0
+        phis = [P1, P2, PowerLogYoung(2.0), CustomYoung([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)])]
+        for phi in phis:
+            assert f.luxemburg_norm(phi) == 0.0
 
     def test_custom_grid_certification(self):
         phi = CustomYoung([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)])

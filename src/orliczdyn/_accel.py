@@ -1,43 +1,22 @@
 """Hot numeric kernels on numpy arrays.
 
-Young-function family codes used by the kernels:
-    0  power      phi(t) = t**p / p
-    1  power-log  phi(t) = t**p * (1 + |log t|)
-    2  custom     piecewise-linear interpolation on (grid_t, grid_y)
+The formulas belong to their classes: each Young family's ``values`` and
+each weight rule's ``Weight.orbit_logs``.  The two kernels stay module
+functions so that the benchmark's tracer can hook them by name:
+``modular_sum`` for every modular evaluation of the Luxemburg norm, and
+``clampexp_orbit_logs`` for the clamp-exponential rule's orbit tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-FAMILY_POWER = 0
-FAMILY_POWERLOG = 1
-FAMILY_CUSTOM = 2
 
-EMPTY_GRID = np.zeros(1, dtype=np.float64)
-
-
-def phi_values(ts, code, p, grid_t, grid_y):
-    """Vectorized phi on nonnegative inputs; custom out-of-grid -> +inf."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if code == FAMILY_POWER:
-        return ts**p / p
-    if code == FAMILY_POWERLOG:
-        out = np.zeros_like(ts)
-        pos = ts > 0.0
-        u = ts[pos]
-        out[pos] = u**p * (1.0 + np.abs(np.log(u)))
-        return out
-    out = np.interp(ts, grid_t, grid_y)
-    out = np.where(ts > grid_t[-1], np.inf, out)
-    return out
-
-
-def modular_sum(abs_vals, k, mass, code, p, grid_t, grid_y):
-    """mass * sum(phi(v / k)) over the value array."""
+def modular_sum(abs_vals, k, mass, phi):
+    """mass * sum(phi(v / k)) over the value array; +inf past a custom grid."""
     # the ndarray method skips np.sum's Python-level dispatch; the norm
     # bisection calls this kernel dozens of times per vector
-    return mass * float(phi_values(abs_vals / k, code, p, grid_t, grid_y).sum())
+    return mass * float(phi.values(abs_vals / k).sum())
 
 
 def clampexp_orbit_logs(units, pow_units, h, heisenberg, coord, log_base, lo, hi):

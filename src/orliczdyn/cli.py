@@ -137,12 +137,27 @@ def _group(doc) -> GroupModel:
     return GroupModel.from_config(doc)
 
 
+def _table_keys(entries) -> None:
+    """The keys of [[key, value], ...] must be distinct lists of integers."""
+    keys = []
+    for key, _ in entries:
+        if not isinstance(key, list) or not all(
+            isinstance(u, int) and not isinstance(u, bool) for u in key
+        ):
+            raise ValueError(f"table key {key!r} must be a list of integers")
+        keys.append(tuple(key))
+    if len(set(keys)) < len(keys):
+        raise ValueError("table keys must be distinct")
+
+
 def _weights(docs) -> tuple:
     out = []
     for i, doc in enumerate(docs):
         doc = _object(doc)
         if doc.get("rule") == "clamp_exp":
             _field(doc, f"weights[{i}].coord", _nonnegative_int)
+        if doc.get("rule") == "table":
+            _field(doc, f"weights[{i}].entries", _table_keys)
         out.append(Weight.from_config(doc))
     return tuple(out)
 

@@ -29,8 +29,14 @@ Quantities per operator index l (power r_l), at sweep index n:
                      truncated at t_max plus a certified geometric tail
                      for each of the two directions
 
-All sweep values are accumulated in log space and exponentiated, which
-keeps long products exact to ~1e-13 relative.
+The cocycles come from one log-table engine, ``_log_tables``: cumulative
+sums of each weight rule's ``Weight.orbit_logs`` along the orbits of a
+and a^-1, read at n and exponentiated, which keeps long products exact
+to ~1e-13 relative.  The sweep reads them over K, and the epsilon check
+of ``build_periodic_point`` reads them over E at depth t_max * n, so it
+sees the numbers the ``chaotic`` sweep sees.  The scalar
+``cocycle_fwd``/``cocycle_bwd`` of the operator are the oracle the tests
+hold these tables to.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _accel
 from .group import (
     AperiodicityCertificate,
     CompactSet,
@@ -52,14 +57,7 @@ from .group import (
     row_index,
 )
 from .orlicz import OrliczVector
-from .translation import (
-    ORBIT_BLOCK_CELLS,
-    ClampExpWeight,
-    ConstantWeight,
-    Weight,
-    WeightedTranslation,
-    log_values,
-)
+from .translation import ORBIT_BLOCK_CELLS, Weight, WeightedTranslation
 from .young import YoungFunction
 
 VERDICT_VERIFIED = "verified"
@@ -232,41 +230,28 @@ class ConditionReport:
 # orbit tables
 
 
-def _orbit_log_weights(model, units, step, js, weight) -> np.ndarray:
-    """(N, J) log-weights at units[i] * step^js[j]."""
-    if isinstance(weight, ConstantWeight):
-        return np.full((len(units), len(js)), math.log(weight.c))
-    if isinstance(weight, ClampExpWeight):
-        origin = np.zeros((1, model.dim), dtype=np.int64)
-        return _accel.clampexp_orbit_logs(
-            units,
-            model.orbit_units(origin, step, js)[0],
-            model.h,
-            model.is_heisenberg,
-            weight.coord,
-            math.log(weight.base),
-            weight.lo,
-            weight.hi,
-        )
-    out = np.empty((len(units), len(js)))
-    block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
-    for c in range(0, len(js), block):
-        pts = model.orbit_units(units, step, js[c : c + block]).reshape(-1, model.dim)
-        logs = log_values(weight.on_units(model, pts))
-        out[:, c : c + block] = logs.reshape(len(units), -1)
-    return out
+def _log_tables(model, units, a, weight, depth):
+    """Cumulative log-cocycle tables of one weight over the rows of units:
+
+    fwd[:, n] = sum_{j=1..n} log w(x a^j)        (fwd[:, 0] = 0)
+    bwd[:, n] = sum_{j=0..n-1} log w(x a^-j)     (bwd[:, 0] = 0)
+
+    for n = 0..depth, so the forward cocycle is exp(fwd[:, n]) and the
+    backward cocycle is exp(-bwd[:, n]).  A row's prefix does not depend
+    on the depth.
+    """
+    zero = np.zeros((len(units), 1))
+    return tuple(
+        np.hstack([zero, np.cumsum(weight.orbit_logs(model, units, b, js), axis=1)])
+        for b, js in [(a, np.arange(1, depth + 1)), (a.inverse(), np.arange(depth))]
+    )
 
 
 class _OrbitTables:
-    """Cumulative log-cocycle tables over the sorted points of K.
-
-    fwd[l][:, n] = sum_{j=1..n} log w_l(x a^j)        (fwd[:, 0] = 0)
-    bwd[l][:, n] = sum_{j=0..n-1} log w_l(x a^-j)     (bwd[:, 0] = 0)
-
-    so the forward cocycle is exp(fwd[:, n]) and the backward cocycle is
-    exp(-bwd[:, n]).  Operators with equal weights share one table, as
-    deep as the deepest of them needs (a cumsum prefix does not depend on
-    the row length); a weight of depth 0 gets none.
+    """The ``_log_tables`` of every operator over the sorted points of K:
+    fwd[l] and bwd[l] for operator l.  Operators with equal weights share
+    one pair, as deep as the deepest of them needs; a weight of depth 0
+    gets none.
     """
 
     def __init__(self, scenario: Scenario, depths):
@@ -279,8 +264,6 @@ class _OrbitTables:
             )
         model = scenario.model
         units = model.units_array(self.points)
-        a = scenario.a
-        a_inv = a.inverse()
         weights = scenario.weights
         self.fwd = [None] * scenario.L
         self.bwd = [None] * scenario.L
@@ -289,13 +272,9 @@ class _OrbitTables:
             d = max(depths[k] for k in sharing)
             if self.fwd[l] is not None or d == 0:
                 continue
-            logs_f = _orbit_log_weights(model, units, a, np.arange(1, d + 1), w)
-            logs_b = _orbit_log_weights(model, units, a_inv, np.arange(d), w)
-            zero = np.zeros((n_pts, 1))
-            fwd = np.hstack([zero, np.cumsum(logs_f, axis=1)])
-            bwd = np.hstack([zero, np.cumsum(logs_b, axis=1)])
+            tables = _log_tables(model, units, scenario.a, w, d)
             for k in sharing:
-                self.fwd[k], self.bwd[k] = fwd, bwd
+                self.fwd[k], self.bwd[k] = tables
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +401,7 @@ class _Condition(NamedTuple):
 def _aperiodicity_refusal(cert: AperiodicityCertificate) -> str | None:
     if cert.status == "periodic":
         return (
-            "translation element is periodic (identity or finite order); "
+            "translation element is the identity, hence periodic; "
             "transitivity requires an aperiodic element"
         )
     if cert.status == "not_within_bound":
@@ -706,15 +685,19 @@ def build_periodic_point(
         raise DisjointnessViolatedError(
             f"translates of E by powers of a^{n} are not pairwise disjoint"
         )
+    model = op.model
     if epsilon is not None and t_max >= 1:
-        fwd, bwd = op.cocycles(E.model.units_array(E.elements), n, t_max)
-        worst = float(np.max(np.cumsum(fwd + bwd, axis=1)[:, -1], initial=0.0))
+        # the numbers the chaos sweep reads: its tables at depth t_max * n, summed alike
+        fwd, bwd = _log_tables(model, model.units_array(E.elements), op.a, op.weight, t_max * n)
+        idx = n * np.arange(1, t_max + 1)
+        with np.errstate(over="ignore"):
+            series = np.sum(np.exp(fwd[:, idx]) + np.exp(-bwd[:, idx]), axis=1)
+        worst = float(np.max(series, initial=0.0))
         if not worst < epsilon:
             raise NotChaoticAtNError(
                 f"cocycle series {worst} not below epsilon={epsilon} at n={n}"
             )
     f_e = f.restrict(E)
-    model = op.model
     fwd_units, fwd = op.orbit(f_e, n, t_max + 1)
     parts = [(fwd_units[:, :-1], fwd[:, :-1])]
     bwd_last = f_e

@@ -360,9 +360,10 @@ class AperiodicityCertificate:
 def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> AperiodicityCertificate:
     """Smallest M with K and K*a^(+-n) disjoint for all M < n <= n_max.
 
-    Returns a "periodic" certificate if a is the identity or has finite
-    order within n_max, and "not_within_bound" when the translates still
-    meet K at n_max (no aperiodicity claim is made in that case).
+    Returns a "periodic" certificate if a is the identity, and
+    "not_within_bound" when the translates still meet K at n_max (no
+    aperiodicity claim is made in that case).  Every model's group is
+    torsion-free, so no other a has a power equal to the identity.
     """
     if len(K) == 0:
         raise EmptySetError("aperiodicity scan needs a nonempty set")
@@ -379,8 +380,6 @@ def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> Aperiodici
     an = a.model.identity()
     for n in range(1, n_max + 1):
         an = an * a
-        if an.is_identity:
-            return AperiodicityCertificate("periodic", None, n_max)
         # K /\ K*a^-n is empty iff K /\ K*a^n is, so one direction suffices.
         moved = K.model.orbit_units(rows, an, [1])[:, 0]
         if (row_index(moved, rows) >= 0).any():

@@ -151,10 +151,7 @@ class OrliczVector:
             raise ValueError("modular level k must be positive")
         if not self._entries:
             return 0.0
-        code, p, gt, gy = phi._kernel_args()
-        out = _accel.modular_sum(
-            self.abs_values(), float(k), self.model.haar_cell_mass, code, p, gt, gy
-        )
+        out = _accel.modular_sum(self.abs_values(), float(k), self.model.haar_cell_mass, phi)
         if math.isinf(out):
             raise OutOfGridError("modular argument beyond the sampled grid")
         return out
@@ -173,10 +170,9 @@ class OrliczVector:
             # no entries, or only entries that underflowed to 0.0
             return 0.0
         mass = self.model.haar_cell_mass
-        code, p, gt, gy = phi._kernel_args()
 
         def mod(k: float) -> float:
-            return _accel.modular_sum(vals, k, mass, code, p, gt, gy)
+            return _accel.modular_sum(vals, k, mass, phi)
 
         try:
             lo = amax / phi.inverse(1.0 / mass)

@@ -8,8 +8,17 @@ dynamics:
 * forward cocycle   prod_{j=1..n} w(x * a^j)
 * backward cocycle  1 / prod_{j=0..n-1} w(x * a^-j)
 
-Products switch to log-space accumulation past 64 factors so that long
-geometric products neither under- nor overflow midway.
+Each weight rule owns its formulas: ``__call__`` at one element,
+``on_units`` on the rows of an (N, d) units array, and ``orbit_logs``
+for the log-weights along whole orbits, from which the checkers build
+their cumulative log-cocycle tables (``dynamics._log_tables``).  The
+clamp-exponential rule reads its orbit logs from the
+``_accel.clampexp_orbit_logs`` kernel; the constant rule fills them.
+
+``cocycle_fwd`` and ``cocycle_bwd`` are the scalar oracle for those
+tables: one group product and one weight call per step, switching to
+log-space accumulation past 64 factors so that long geometric products
+neither under- nor overflow midway.
 
 ``apply``, ``apply_inv`` and ``orbit`` walk orbits on unit arrays: the
 points x * a^j come in closed form from ``GroupModel.orbit_units``, each
@@ -30,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accel
 from .group import (
     CompactSet,
     EmptySetError,
@@ -61,6 +71,16 @@ class Weight:
         """w at every row of an (N, d) units array, bit for bit ``__call__``."""
         return np.array([self(e) for e in model.elements(units)], dtype=np.float64)
 
+    def orbit_logs(self, model: GroupModel, units: np.ndarray, step, js) -> np.ndarray:
+        """(N, J) log-weights at units[i] * step^js[j], bit for bit
+        ``log_value``, in blocks of ORBIT_BLOCK_CELLS points."""
+        out = np.empty((len(units), len(js)))
+        block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
+        for c in range(0, len(js), block):
+            pts = model.orbit_units(units, step, js[c : c + block]).reshape(-1, model.dim)
+            out[:, c : c + block] = log_values(self.on_units(model, pts)).reshape(len(units), -1)
+        return out
+
     def sup_bound(self) -> float:
         """Global upper bound for w (finite by construction)."""
         raise NotImplementedError
@@ -82,7 +102,7 @@ class Weight:
                 hi=float(doc["hi"]),
             )
         if rule == "table":
-            table = {tuple(int(u) for u in k): float(v) for k, v in doc["entries"]}
+            table = {tuple(k): float(v) for k, v in doc["entries"]}
             return TableWeight(table, default=float(doc["default"]))
         raise WeightError(f"unknown weight rule: {rule!r}")
 
@@ -100,6 +120,9 @@ class ConstantWeight(Weight):
 
     def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
         return np.full(len(units), self.c)
+
+    def orbit_logs(self, model: GroupModel, units: np.ndarray, step, js) -> np.ndarray:
+        return np.full((len(units), len(js)), math.log(self.c))
 
     def sup_bound(self) -> float:
         return self.c
@@ -140,6 +163,21 @@ class ClampExpWeight(Weight):
         # Python's power once per distinct value: np.power may differ in the last bit
         return np.array([self.base ** -c for c in distinct.tolist()])[where.reshape(-1)]
 
+    def orbit_logs(self, model: GroupModel, units: np.ndarray, step, js) -> np.ndarray:
+        """The kernel's log-weights: they agree with ``log_value`` to 1e-14
+        relative, not bit for bit."""
+        origin = np.zeros((1, model.dim), dtype=np.int64)
+        return _accel.clampexp_orbit_logs(
+            units,
+            model.orbit_units(origin, step, js)[0],
+            model.h,
+            model.is_heisenberg,
+            self.coord,
+            math.log(self.base),
+            self.lo,
+            self.hi,
+        )
+
     def sup_bound(self) -> float:
         return max(self.base**-self.lo, self.base**-self.hi)
 
@@ -154,7 +192,7 @@ class TableWeight(Weight):
         if not (default > 0 and math.isfinite(default)):
             raise WeightError("table default must be positive and finite")
         for k, v in table.items():
-            if not all(isinstance(u, numbers.Integral) for u in k):
+            if not all(isinstance(u, numbers.Integral) and not isinstance(u, bool) for u in k):
                 raise WeightError(f"table key {k} must be a tuple of integer lattice units")
             if not (v > 0 and math.isfinite(v)):
                 raise WeightError(f"table value at {k} must be positive and finite")
@@ -245,49 +283,25 @@ class WeightedTranslation:
         if f.model != model:
             raise ModelMismatchError("elements belong to different group models")
         units = model.units_array(f.support)
-        values = np.fromiter(f._entries.values(), dtype=np.float64, count=len(f))
+        cur = np.fromiter(f._entries.values(), dtype=np.float64, count=len(f))[:, None]
         ends = model.orbit_units(units, step, n * np.arange(1, count + 1))
         # T multiplies by w where a step lands (x a^j, j >= 1); S divides by
-        # w where it starts (x a^-j, j >= 0)
-        fold = np.divide if inverse else np.multiply
-        return ends, self._fold(units, values, step, 0 if inverse else 1, fold, count * n, n)
-
-    def cocycles(self, units, n: int, count: int):
-        """``cocycle_fwd`` and ``cocycle_bwd`` at n, 2n, ..., count n for every
-        row of an (N, d) units array: two (N, count) arrays, bit for bit."""
-        a, a_inv = self.a, self.a.inverse()
-        short = min(count, LOG_SPACE_SWITCH // n)  # columns with at most 64 factors
-        ones, zeros = np.ones(len(units)), np.zeros(len(units))
-        fwd = self._fold(units, ones, a, 1, np.multiply, short * n, n)
-        bwd = 1.0 / self._fold(units, ones, a_inv, 0, np.multiply, short * n, n)
-        if short < count:
-            logs_f = self._fold(units, zeros, a, 1, np.add, count * n, n, log=True)[:, short:]
-            logs_b = self._fold(units, zeros, a_inv, 0, np.add, count * n, n, log=True)[:, short:]
-            exp_f = [[math.exp(v) for v in row] for row in logs_f.tolist()]
-            exp_b = [[math.exp(-v) for v in row] for row in logs_b.tolist()]
-            fwd = np.hstack([fwd, np.array(exp_f).reshape(logs_f.shape)])
-            bwd = np.hstack([bwd, np.array(exp_b).reshape(logs_b.shape)])
-        return fwd, bwd
-
-    def _fold(self, units, start, step, first, fold, n_steps, every, log=False) -> np.ndarray:
-        """(N, n_steps // every): ``start`` folded by ``fold`` with w (or log w)
-        at x step^(first + s), s = 0, 1, ..., read after every, 2 every, ...
-        steps.  The accumulate applies the steps in order, rounding after
-        each, in blocks that carry the running values."""
-        model, n_pts = self.model, len(start)
-        block = max(1, ORBIT_BLOCK_CELLS // max(n_pts, 1))
-        cur = start[:, None]
+        # w where it starts (x a^-j, j >= 0).  The accumulate applies the
+        # steps in order, rounding after each, in blocks that carry the
+        # running values; the values are read after every n steps.
+        fold, first = (np.divide, 0) if inverse else (np.multiply, 1)
+        n_pts, n_steps = len(units), count * n
+        block = max(1, ORBIT_BLOCK_CELLS // n_pts)
         cols = [np.empty((n_pts, 0))]
         with np.errstate(over="ignore"):
             for s0 in range(0, n_steps, block):
                 js = np.arange(s0, min(s0 + block, n_steps))
                 pts = model.orbit_units(units, step, js + first).reshape(-1, model.dim)
-                w = self.weight.on_units(model, pts)
-                w = (log_values(w) if log else w).reshape(n_pts, len(js))
+                w = self.weight.on_units(model, pts).reshape(n_pts, len(js))
                 run = fold.accumulate(np.concatenate([cur, w], axis=1), axis=1)
-                cols.append(run[:, 1:][:, (js + 1) % every == 0])
+                cols.append(run[:, 1:][:, (js + 1) % n == 0])
                 cur = run[:, -1:]
-        return np.hstack(cols)
+        return ends, np.hstack(cols)
 
     def cocycle_fwd(self, n: int, x: GroupElement) -> float:
         """prod_{j=1..n} w(x * a^j)."""

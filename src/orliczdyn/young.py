@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
-
 CONJUGATE_BRACKET_CAP = 1e6
 INVERSE_REL_TOL = 1e-12
 
@@ -57,24 +55,21 @@ class Delta2Report:
 
 
 class YoungFunction:
-    """Base class; subclasses provide the pointwise value and kernel args."""
+    """Base class; subclasses provide the pointwise and the array formula."""
 
     t_max: float = math.inf
 
     def __call__(self, t: float) -> float:
         raise NotImplementedError
 
-    def _kernel_args(self):
-        """(family_code, exponent, grid_t, grid_y) for the _accel kernels."""
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """phi at every entry of a float64 array of nonnegative inputs; +inf
+        past a custom grid."""
         raise NotImplementedError
 
     def value_array(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized phi(|t|); raises OutOfGridError past a custom grid."""
-        code, p, gt, gy = self._kernel_args()
-        out = _accel.phi_values(np.abs(np.asarray(ts, dtype=np.float64)), code, p, gt, gy)
-        if code == _accel.FAMILY_CUSTOM and np.any(np.isinf(out)):
-            raise OutOfGridError(f"argument beyond the sampled grid (t_max={self.t_max})")
-        return out
+        """Vectorized phi(|t|)."""
+        return self.values(np.abs(np.asarray(ts, dtype=np.float64)))
 
     def inverse(self, s: float) -> float:
         """Generalized inverse sup{t >= 0 : phi(t) <= s} by bisection.
@@ -196,8 +191,8 @@ class PowerYoung(YoungFunction):
     def __call__(self, t: float) -> float:
         return abs(t) ** self.p / self.p
 
-    def _kernel_args(self):
-        return _accel.FAMILY_POWER, self.p, _accel.EMPTY_GRID, _accel.EMPTY_GRID
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return ts**self.p / self.p
 
     def conjugate_exponent(self) -> float:
         if self.p == 1.0:
@@ -224,8 +219,12 @@ class PowerLogYoung(YoungFunction):
             return 0.0
         return u**self.alpha * (1.0 + abs(math.log(u)))
 
-    def _kernel_args(self):
-        return _accel.FAMILY_POWERLOG, self.alpha, _accel.EMPTY_GRID, _accel.EMPTY_GRID
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(ts)
+        pos = ts > 0.0
+        u = ts[pos]
+        out[pos] = u**self.alpha * (1.0 + np.abs(np.log(u)))
+        return out
 
 
 class CustomYoung(YoungFunction):
@@ -267,8 +266,15 @@ class CustomYoung(YoungFunction):
             raise OutOfGridError(f"|t|={u} beyond grid t_max={self.t_max}")
         return float(np.interp(u, self.grid_t, self.grid_y))
 
-    def _kernel_args(self):
-        return _accel.FAMILY_CUSTOM, 0.0, self.grid_t, self.grid_y
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        return np.where(ts > self.t_max, np.inf, np.interp(ts, self.grid_t, self.grid_y))
+
+    def value_array(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorized phi(|t|); raises OutOfGridError past the grid."""
+        out = super().value_array(ts)
+        if np.any(np.isinf(out)):
+            raise OutOfGridError(f"argument beyond the sampled grid (t_max={self.t_max})")
+        return out
 
 
 def young_from_config(doc: dict) -> YoungFunction:

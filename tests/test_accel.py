@@ -7,7 +7,7 @@ import orliczdyn as od
 from orliczdyn import _accel
 from orliczdyn.group import GroupModel
 from orliczdyn.translation import ClampExpWeight
-from orliczdyn.young import CustomYoung, PowerLogYoung, PowerYoung
+from orliczdyn.young import CustomYoung, OutOfGridError, PowerLogYoung, PowerYoung
 from samples import random_element
 
 
@@ -22,25 +22,26 @@ YOUNGS = [PowerYoung(1.0), PowerYoung(2.0), PowerYoung(3.5), PowerLogYoung(2.0),
 
 
 class TestKernelsMatchScalar:
-    """The numpy kernels against the library's scalar definitions."""
+    """The array formulas and kernels against the library's scalar definitions."""
 
     @pytest.mark.parametrize("phi", YOUNGS)
     def test_phi_values(self, rng, phi):
         ts = rng.uniform(0.0, 9.5, size=300)
-        got = _accel.phi_values(ts, *phi._kernel_args())
-        np.testing.assert_allclose(got, [phi(t) for t in ts], rtol=1e-13)
+        np.testing.assert_allclose(phi.values(ts), [phi(t) for t in ts], rtol=1e-13)
 
     @pytest.mark.parametrize("phi", YOUNGS)
     def test_modular_sum(self, rng, phi):
         vals = rng.uniform(0.0, 8.0, size=500)
         for k in (0.85, 1.0, 3.7):
-            got = _accel.modular_sum(vals, k, 0.5, *phi._kernel_args())
+            got = _accel.modular_sum(vals, k, 0.5, phi)
             assert got == pytest.approx(0.5 * math.fsum(phi(v / k) for v in vals), rel=1e-12)
 
     def test_custom_out_of_grid_is_inf(self):
         vals = np.array([20.0])
-        assert math.isinf(_accel.phi_values(vals, *CUSTOM._kernel_args())[0])
-        assert math.isinf(_accel.modular_sum(vals, 1.0, 1.0, *CUSTOM._kernel_args()))
+        assert math.isinf(CUSTOM.values(vals)[0])
+        assert math.isinf(_accel.modular_sum(vals, 1.0, 1.0, CUSTOM))
+        with pytest.raises(OutOfGridError):
+            CUSTOM.value_array(vals)
 
     @pytest.mark.parametrize(
         "model,a_units,coord",

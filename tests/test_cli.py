@@ -206,6 +206,26 @@ class TestCheck:
         assert field in capsys.readouterr().out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[[1.7], 0.5]],
+            [[[True], 0.25]],
+            [[[1], 0.5], [[1.0], 0.25]],
+            [[[1], 0.5], [[True], 0.25]],
+            [[[1], 0.5], [[1], 0.25]],
+            [[["1"], 0.5]],
+            [[1, 0.5]],
+        ],
+        ids=["fraction", "bool", "float_twin", "bool_twin", "duplicate", "text", "not_a_list"],
+    )
+    def test_table_keys_exit_1(self, tmp_path, capsys, entries):
+        table = {"rule": "table", "entries": entries, "default": 2.0}
+        code, out = run_cli(tmp_path, z_config(weights=[STEP_W, table]))
+        assert code == 1
+        assert "'weights[1].entries'" in capsys.readouterr().out
+        assert not out.exists()
+
     def test_bad_config_does_not_sink_batch(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(z_config()))

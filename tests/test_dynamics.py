@@ -632,6 +632,13 @@ class TestPeriodicPoint:
         with pytest.raises(NotChaoticAtNError):
             build_periodic_point(op, PowerYoung(2.0), indicator(K), K, 10, 20, epsilon=1e-9)
 
+    def test_overflowing_series_not_chaotic(self):
+        # the forward cocycle 1e650 overflows: a series of inf, not a math range error
+        op = WeightedTranslation(ZLINE, ZLINE.element([1]), ConstantWeight(1e10))
+        K = CompactSet.box(ZLINE, [0], [0])
+        with pytest.raises(NotChaoticAtNError, match="cocycle series inf"):
+            build_periodic_point(op, PowerYoung(2.0), indicator(K), K, 65, 1, epsilon=1.0)
+
 
 class TestReportShape:
     def test_column_count(self):

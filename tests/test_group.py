@@ -156,6 +156,17 @@ class TestAperiodicity:
         K = CompactSet.box(ZLINE, [-3], [3])
         assert aperiodicity_bound(ZLINE.element([0]), K, 50).status == "periodic"
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_periodic_only_for_the_identity(self, model):
+        # every model's group is torsion-free: no power of a != e is e
+        rng = np.random.default_rng(21)
+        K = CompactSet.box(model, [-2] * model.dim, [2] * model.dim)
+        assert aperiodicity_bound(model.identity(), K, 30).status == "periodic"
+        for _ in range(40):
+            a = random_element(model, rng, span=3)
+            if not a.is_identity:
+                assert aperiodicity_bound(a, K, 30).status != "periodic"
+
     def test_heisenberg_example_bound(self):
         K = CompactSet.box(HEIS, [-3, -3, -3], [3, 3, 3])
         cert = aperiodicity_bound(HEIS.element([1, 0, 2]), K, 100)

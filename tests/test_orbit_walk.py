@@ -13,7 +13,7 @@ from orliczdyn.dynamics import (
     DisjointnessViolatedError,
     DynamicsError,
     NotChaoticAtNError,
-    _orbit_log_weights,
+    _log_tables,
     build_periodic_point,
 )
 from orliczdyn.group import CompactSet, GroupModel, OffLatticeError
@@ -230,29 +230,50 @@ def test_long_apply_memory_is_bounded():
     assert set(image.support) == {model.element([1, 1, 0]) ** (2 * 10**6)}
 
 
-def test_table_log_weights_match_log_value():
-    model = GroupModel.heisenberg_int()
-    weight = weights(model)["table"]
-    points = CompactSet.box(model, [-2, -2, -2], [2, 2, 2]).sorted_elements()
-    units = model.units_array(points)
-    a = model.element([1, 1, -1])
-    for step, js in [(a, np.arange(1, 40)), (a.inverse(), np.arange(40))]:
-        logs = _orbit_log_weights(model, units, step, js, weight)
-        want = [[weight.log_value(x * step**int(j)) for j in js] for x in points]
-        assert logs.tolist() == want
+class CallOnly(Weight):
+    """A rule with only ``__call__``, so every array formula is the default;
+    its many distinct values show where np.log and math.log part."""
+
+    def __call__(self, x):
+        return 0.5 + (7919 * x.units[0] + 104729 * x.units[-1]) % 1000 / 400
+
+
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+@pytest.mark.parametrize("name", ["constant", "clamp_exp", "table", "call_only"])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+def test_orbit_logs_match_log_value(model, name, direction):
+    weight = CallOnly() if name == "call_only" else weights(model)[name]
+    points = CompactSet.box(model, [-2] * model.dim, [2] * model.dim).sorted_elements()
+    a = model.element_units([1, 2, -1][: model.dim])
+    step, js = (a, np.arange(1, 40)) if direction == "fwd" else (a.inverse(), np.arange(40))
+    logs = weight.orbit_logs(model, model.units_array(points), step, js)
+    powers = [step ** int(j) for j in js]
+    want = [[weight.log_value(x * b) for b in powers] for x in points]
+    if name == "clamp_exp":
+        np.testing.assert_allclose(logs, want, rtol=1e-14, atol=1e-15)
+    else:
+        assert [[v.hex() for v in row] for row in logs.tolist()] == [
+            [v.hex() for v in row] for row in want
+        ]
 
 
 @pytest.mark.parametrize("model,name", CASES, ids=CASE_IDS)
 def test_cocycles_match_scalar_methods(model, name):
+    # the log tables read at n, 2n, ... against the scalar oracle; products
+    # and log sums round differently, so agreement is to 1e-12 relative
     rng = np.random.default_rng(14)
     op = operator(model, name, rng)
     points = [random_element(model, rng, span=4) for _ in range(5)]
     for n, count in [(1, 3), (7, 12), (65, 2)]:  # products, then past LOG_SPACE_SWITCH
-        fwd, bwd = op.cocycles(model.units_array(points), n, count)
+        fwd, bwd = _log_tables(model, model.units_array(points), op.a, op.weight, count * n)
         for i, x in enumerate(points):
-            for t in range(count):
-                assert fwd[i, t].hex() == op.cocycle_fwd((t + 1) * n, x).hex()
-                assert bwd[i, t].hex() == op.cocycle_bwd((t + 1) * n, x).hex()
+            for k in n * np.arange(1, count + 1):
+                assert np.exp(fwd[i, k]) == pytest.approx(op.cocycle_fwd(int(k), x), rel=1e-12)
+                assert np.exp(-bwd[i, k]) == pytest.approx(op.cocycle_bwd(int(k), x), rel=1e-12)
+
+
+def worst_of(exc) -> float:
+    return float(re.search(r"cocycle series (\S+) not below", str(exc)).group(1))
 
 
 def test_not_chaotic_at_n_matches_reference():
@@ -264,7 +285,32 @@ def test_not_chaotic_at_n_matches_reference():
             reference.build_periodic_point(op, PHI, indicator(K), K, n, t_max, epsilon=1e-9)
         with pytest.raises(NotChaoticAtNError) as got:
             build_periodic_point(op, PHI, indicator(K), K, n, t_max, epsilon=1e-9)
-        assert str(got.value) == str(want.value)
+        # the table engine sums exp(log sums), the reference products: ~1 ulp apart
+        assert worst_of(got.value) == pytest.approx(worst_of(want.value), rel=1e-12)
+
+
+@pytest.mark.parametrize("model,name", CASES, ids=CASE_IDS)
+def test_not_chaotic_decision_matches_reference(model, name):
+    """Epsilon a hair below and above the reference's worst series: both
+    engines raise below and build above."""
+    a = model.element_units([3, 2, 1][: model.dim])  # moves x by 3: E's translates stay apart
+    op = WeightedTranslation(model, a, weights(model)[name])
+    E = CompactSet.from_elements(
+        model, [model.element_units([u] + [0] * (model.dim - 1)) for u in (-1, 0, 1)]
+    )
+    f = indicator(E)
+    for n, t_max in [(1, 8), (2, 20), (7, 12), (9, 8), (65, 2)]:
+        worst = max(
+            sum(op.cocycle_fwd(t * n, x) + op.cocycle_bwd(t * n, x) for t in range(1, t_max + 1))
+            for x in E
+        )
+        for epsilon, raises in [(worst * (1 - 1e-9), True), (worst * (1 + 1e-9), False)]:
+            for build in (reference.build_periodic_point, build_periodic_point):
+                if raises:
+                    with pytest.raises(NotChaoticAtNError):
+                        build(op, PHI, f, E, n, t_max, epsilon=epsilon)
+                else:
+                    build(op, PHI, f, E, n, t_max, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])

@@ -58,6 +58,8 @@ class TestWeights:
             TableWeight({(0,): -1.0}, default=1.0)
         with pytest.raises(WeightError):
             TableWeight({(0.5,): 2.0}, default=1.0)  # keys are integer lattice units
+        with pytest.raises(WeightError):
+            TableWeight({(True,): 2.0}, default=1.0)
 
     def test_lattice_uses_real_coordinates(self):
         m = GroupModel.lattice_line(0.5)
@@ -70,6 +72,8 @@ class TestWeights:
         assert Weight.from_config({"rule": "constant", "c": 2.0}) == ConstantWeight(2.0)
         t = Weight.from_config({"rule": "table", "entries": [[[0], 0.5]], "default": 2.0})
         assert t(ZLINE.element([0])) == 0.5
+        with pytest.raises(WeightError):  # no silent int(1.7) == 1
+            Weight.from_config({"rule": "table", "entries": [[[1.7], 0.5]], "default": 2.0})
 
 
 class TestOperator:

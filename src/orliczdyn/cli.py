@@ -33,7 +33,7 @@ from .dynamics import (
 from .group import CompactSet, GroupError, GroupModel
 from .orlicz import OrliczVector
 from .translation import Weight, WeightError
-from .young import YoungFunctionError, young_from_config
+from .young import YoungFunction, YoungFunctionError, young_from_config
 
 MODES = (
     "disjoint_transitive",
@@ -82,15 +82,15 @@ def parse_config(doc: dict):
     if mode not in MODES:
         raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")
     model = _field(doc, "group", _group)
-    phi = _field(doc, "young", young_from_config)
+    phi = _field(doc, "young", _young)
     a = _field(doc, "a", lambda c: model.element(c))
     weights = _field(doc, "weights", _weights)
     powers = _field(doc, "powers", lambda rs: tuple(_positive_int(r) for r in rs))
     K = _field(doc, "K", lambda d: _parse_set(model, d))
-    epsilon = _field(doc, "epsilon", float)
+    epsilon = _field(doc, "epsilon", _number)
     n_max = _field(doc, "n_max", _positive_int)
     t_max = _field(doc, "t_max", _positive_int, default=50, required=False)
-    cap = _field(doc, "e_k_deficit_cap", float, default=0.0, required=False)
+    cap = _field(doc, "e_k_deficit_cap", _number, default=0.0, required=False)
     try:
         scenario = Scenario(
             model=model,
@@ -122,6 +122,13 @@ def _int_at_least(value, low: int) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A JSON number (integer or not) as a float; booleans and text are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _positive_int(value) -> int:
     return _int_at_least(value, 1)
 
@@ -134,30 +141,46 @@ def _group(doc) -> GroupModel:
     doc = _object(doc)
     if doc.get("kind") == "int_lattice":
         _field(doc, "group.d", _positive_int)
+    if doc.get("kind") in ("lattice_line", "heisenberg_lattice"):
+        _field(doc, "group.h", _number)
     return GroupModel.from_config(doc)
 
 
-def _table_keys(entries) -> None:
-    """The keys of [[key, value], ...] must be distinct lists of integers."""
+def _young(doc) -> YoungFunction:
+    doc = _object(doc)
+    key = {"power": "p", "powerlog": "alpha"}.get(doc.get("family"))
+    if key:
+        _field(doc, f"young.{key}", _number)
+    return young_from_config(doc)
+
+
+def _table_entries(entries) -> None:
+    """[[key, value], ...]: distinct keys that are lists of integers, and
+    values that are numbers."""
     keys = []
-    for key, _ in entries:
+    for key, value in entries:
         if not isinstance(key, list) or not all(
             isinstance(u, int) and not isinstance(u, bool) for u in key
         ):
             raise ValueError(f"table key {key!r} must be a list of integers")
+        _number(value)
         keys.append(tuple(key))
     if len(set(keys)) < len(keys):
         raise ValueError("table keys must be distinct")
 
 
 def _weights(docs) -> tuple:
+    numbers = {"constant": ("c",), "clamp_exp": ("base", "lo", "hi"), "table": ("default",)}
     out = []
     for i, doc in enumerate(docs):
         doc = _object(doc)
-        if doc.get("rule") == "clamp_exp":
+        rule = doc.get("rule")
+        for key in numbers.get(rule, ()):
+            _field(doc, f"weights[{i}].{key}", _number)
+        if rule == "clamp_exp":
             _field(doc, f"weights[{i}].coord", _nonnegative_int)
-        if doc.get("rule") == "table":
-            _field(doc, f"weights[{i}].entries", _table_keys)
+        if rule == "table":
+            _field(doc, f"weights[{i}].entries", _table_entries)
         out.append(Weight.from_config(doc))
     return tuple(out)
 

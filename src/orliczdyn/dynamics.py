@@ -17,6 +17,14 @@ conditions over the same tables.  The conditions are limit statements,
 so a failed sweep is reported as "not verified within bound", never as
 a disproof.
 
+With a deficit budget of 0 (every counting-measure model, and a lattice
+model whose ``e_deficit_cap`` is below one cell) E_n is all of K, so
+each trace cell is a plain max over K.  The sweep then reads every
+column for a whole block of n at once (``_sweep_all_n``).  A budget of
+one cell or more needs ``_select_e`` at each n, which looks at every
+column at that n together, so it runs one n at a time
+(``_sweep_each_n``).  Both give the same rows, bit for bit.
+
 Quantities per operator index l (power r_l), at sweep index n:
 
 * ``fwd_l``          forward cocycle at r_l * n
@@ -238,13 +246,22 @@ def _log_tables(model, units, a, weight, depth):
 
     for n = 0..depth, so the forward cocycle is exp(fwd[:, n]) and the
     backward cocycle is exp(-bwd[:, n]).  A row's prefix does not depend
-    on the depth.
+    on the depth.  Each table fills in column blocks of ORBIT_BLOCK_CELLS
+    cells, and each block's cumsum starts from the sum carried over, so
+    the sums are those of one cumsum over the row, bit for bit, and the
+    build holds one block of log-weights beside the tables.
     """
-    zero = np.zeros((len(units), 1))
-    return tuple(
-        np.hstack([zero, np.cumsum(weight.orbit_logs(model, units, b, js), axis=1)])
-        for b, js in [(a, np.arange(1, depth + 1)), (a.inverse(), np.arange(depth))]
-    )
+    block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
+    tables = []
+    for b, js in [(a, np.arange(1, depth + 1)), (a.inverse(), np.arange(depth))]:
+        table = np.zeros((len(units), depth + 1))
+        for c in range(0, depth, block):
+            logs = weight.orbit_logs(model, units, b, js[c : c + block])
+            if c:
+                logs[:, 0] += table[:, c]
+            np.cumsum(logs, axis=1, out=table[:, c + 1 : c + 1 + logs.shape[1]])
+        tables.append(table)
+    return tuple(tables)
 
 
 class _OrbitTables:
@@ -283,9 +300,11 @@ class _OrbitTables:
 
 class _Column(NamedTuple):
     """One sup quantity: ``values(tables, n)`` is its row over the points
-    of K, or its (trace, accept) rows when not ``exact``.  ``reads`` maps
-    each operator whose table it reads to the deepest index read, per n.
-    A name stands for one formula; the sweep evaluates it once per n."""
+    of K, or its (trace, accept) rows when not ``exact``.  n is one index
+    or an array of them; for an array each row gains one column per n.
+    ``reads`` maps each operator whose table it reads to the deepest index
+    read, per n.  A name stands for one formula; the sweep evaluates it
+    once per n."""
 
     name: str
     reads: dict
@@ -342,27 +361,29 @@ def _pairwise_columns(scenario, pair) -> tuple:
 
 
 def _geometric_tail(terms):
-    """(certified, tail) of a series from the ratio of its last two terms:
-    the tail is certified when that ratio is below the cap (or the last
-    term is 0), and is then last * rho / (1 - rho), else 0."""
-    last, prev = terms[:, -1], terms[:, -2]
+    """(certified, tail) of a series from the ratio of its last two terms
+    (the last axis of ``terms``): the tail is certified when that ratio is
+    below the cap (or the last term is 0), and is then
+    last * rho / (1 - rho), else 0."""
+    last, prev = terms[..., -1], terms[..., -2]
     rho = np.where(prev > 0, last / np.where(prev > 0, prev, 1.0), np.inf)
     certified = (rho < _TAIL_RATIO_CAP) | (last == 0.0)
     return certified, np.where(certified & (last > 0), last * rho / (1.0 - rho), 0.0)
 
 
 def _series_quantities(tables, l, r_l, n, t_max):
-    """(trace, accept) for the chaos series of operator l.
+    """(trace, accept) for the chaos series of operator l, at one n or at
+    an array of n (then one column per n).
 
     The forward and backward terms are two series with their own decay
     rates, so each gets its own ratio and tail; the ratio of their sum
     understates the slower one.  A point is accepted only when both tails
     are certified.
     """
-    idx = np.arange(1, t_max + 1) * (r_l * n)
+    idx = np.multiply.outer(r_l * n, np.arange(1, t_max + 1))
     fwd = np.exp(tables.fwd[l][:, idx])
     bwd = np.exp(-tables.bwd[l][:, idx])
-    trunc = np.sum(fwd + bwd, axis=1)
+    trunc = np.sum(fwd + bwd, axis=-1)
     fwd_ok, fwd_tail = _geometric_tail(fwd)
     bwd_ok, bwd_tail = _geometric_tail(bwd)
     trace = trunc + fwd_tail + bwd_tail
@@ -460,25 +481,71 @@ def _sweep(scenario, conditions):
     tables = _OrbitTables(scenario, depths)
     mass = scenario.model.haar_cell_mass
     budget = int(math.floor(scenario.e_deficit_cap / mass + 1e-9))
-    out = [([], []) for _ in conditions]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        for n in range(1, scenario.n_max + 1):
-            values = {}
-            for name, c in columns.items():
-                v = c.values(tables, n)
-                values[name] = (v, v) if c.exact else v
-            for cond, (rows, oks) in zip(conditions, out):
-                accept = np.vstack([values[c.name][1] for c in cond.columns])
-                ok, keep, dropped = _select_e(accept, scenario.epsilon, budget)
-                sups = tuple(float(np.max(values[c.name][0][keep])) for c in cond.columns)
-                rows.append((n, sups, dropped * mass))
-                oks.append(ok)
+        if budget:
+            out = _sweep_each_n(scenario, conditions, columns, tables, budget, mass)
+        else:
+            out = _sweep_all_n(scenario, conditions, columns, tables)
     results = []
     for cond, (rows, oks) in zip(conditions, out):
         n_star = _verdict_n(oks, cond.tail)
         verdict = VERDICT_NOT_VERIFIED if n_star is None else VERDICT_VERIFIED
         results.append((verdict, n_star, None, tuple(rows)))
     return results
+
+
+def _sweep_each_n(scenario, conditions, columns, tables, budget, mass):
+    """(rows, oks) per condition, one n at a time: E_n depends on every
+    column at n through ``_select_e``."""
+    out = [([], []) for _ in conditions]
+    for n in range(1, scenario.n_max + 1):
+        values = {}
+        for name, c in columns.items():
+            v = c.values(tables, n)
+            values[name] = (v, v) if c.exact else v
+        for cond, (rows, oks) in zip(conditions, out):
+            accept = np.vstack([values[c.name][1] for c in cond.columns])
+            ok, keep, dropped = _select_e(accept, scenario.epsilon, budget)
+            sups = tuple(float(np.max(values[c.name][0][keep])) for c in cond.columns)
+            rows.append((n, sups, dropped * mass))
+            oks.append(ok)
+    return out
+
+
+def _sweep_all_n(scenario, conditions, columns, tables):
+    """(rows, oks) per condition with a deficit budget of 0, in blocks of n.
+
+    Then ``_select_e`` keeps all of K: a trace cell is the max over K, and
+    n is ok when no accept value of the condition reaches epsilon (NaN
+    counts as reaching it).  Each column is read for a whole block of n at
+    once and folded into each condition's running max.  A block holds at
+    most ORBIT_BLOCK_CELLS cells per array (|K| x n x t_max for a series),
+    or one n when that alone is more.
+    """
+    n_max = scenario.n_max
+    width = max((scenario.t_max for c in columns.values() if not c.exact), default=1)
+    block = max(1, ORBIT_BLOCK_CELLS // (len(tables.points) * width))
+    owned = [{c.name for c in cond.columns} for cond in conditions]
+    sups = {name: [] for name in columns}
+    oks = [[] for _ in conditions]
+    for start in range(1, n_max + 1, block):
+        ns = np.arange(start, min(start + block, n_max + 1))
+        worst = [np.full(len(ns), -np.inf) for _ in conditions]
+        for name, c in columns.items():
+            v = c.values(tables, ns)
+            trace, accept = (v, v) if c.exact else v
+            sups[name] += np.max(trace, axis=0).tolist()
+            top = np.max(accept, axis=0)
+            for names, w in zip(owned, worst):
+                if name in names:
+                    np.maximum(w, top, out=w)
+        for ok, w in zip(oks, worst):
+            ok += (w < scenario.epsilon).tolist()
+    rows = [
+        [(n, tuple(sups[c.name][n - 1] for c in cond.columns), 0.0) for n in range(1, n_max + 1)]
+        for cond in conditions
+    ]
+    return list(zip(rows, oks))
 
 
 def _verdict_n(oks, tail: bool):

@@ -19,6 +19,12 @@ Hot paths work on (N, d) unit arrays instead of scalar elements:
 ``row_index`` matches unit rows exactly.  The aperiodicity scan moves all
 of K by a^n with one ``orbit_units`` call and tests K /\\ K*a^n with one
 ``row_index`` call per n; only the powers a^n are scalar products.
+
+The scan stops at a projection cap.  On each coordinate that every point
+of K shifts by exactly n * a_i (all coordinates of the abelian kinds; x
+and y on Heisenberg, and z when a_1 = 0), a translate can only meet K
+while |n a_i| <= width_i(K).  So past the least width_i // |a_i| every
+translate misses K, and the certificate is the one a scan to n_max gives.
 """
 
 from __future__ import annotations
@@ -357,6 +363,20 @@ class AperiodicityCertificate:
         return self.status == "aperiodic"
 
 
+def _projection_cap(a: GroupElement, rows) -> int:
+    """An n past which no translate K*a^n meets K (K given by its unit rows):
+    the least width_i // |a_i| over the coordinates that every point shifts
+    by exactly n * a_i.  z is one of them on Heisenberg only when a_1 = 0,
+    as then a^n = (n a_0, 0, n a_2) and every twist x * (a^n)_y is 0.  The
+    widths are exact Python ints, and some such a_i is nonzero unless a is
+    the identity."""
+    u = a.units
+    coords = (0, 1) if a.model.is_heisenberg and u[1] else range(a.model.dim)
+    return min(
+        (int(rows[:, i].max()) - int(rows[:, i].min())) // abs(u[i]) for i in coords if u[i]
+    )
+
+
 def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> AperiodicityCertificate:
     """Smallest M with K and K*a^(+-n) disjoint for all M < n <= n_max.
 
@@ -364,6 +384,13 @@ def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> Aperiodici
     "not_within_bound" when the translates still meet K at n_max (no
     aperiodicity claim is made in that case).  Every model's group is
     torsion-free, so no other a has a power equal to the identity.
+
+    Only n <= max(2, cap) are tested, with the cap of ``_projection_cap``:
+    past it no translate meets K, so the last hit and the status are those
+    of the full scan to n_max, and "not_within_bound" needs cap >= n_max.
+    A walk off the lattice fails at n = 1 or 2 (see ``_check_walk``, and
+    the product a^(n-1) * a), so the floor of 2 raises every such error
+    where the full scan would.
     """
     if len(K) == 0:
         raise EmptySetError("aperiodicity scan needs a nonempty set")
@@ -378,7 +405,7 @@ def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> Aperiodici
     rows = K.model.units_array(K.elements)
     last_hit = 0
     an = a.model.identity()
-    for n in range(1, n_max + 1):
+    for n in range(1, min(n_max, max(2, _projection_cap(a, rows))) + 1):
         an = an * a
         # K /\ K*a^-n is empty iff K /\ K*a^n is, so one direction suffices.
         moved = K.model.orbit_units(rows, an, [1])[:, 0]

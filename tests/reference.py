@@ -1,12 +1,22 @@
-"""Step-by-step reference implementations of the orbit walks.
+"""Step-by-step reference implementations of the orbit walks and sweeps.
 
 These are the scalar loops that ``WeightedTranslation.apply``/``apply_inv``,
 ``build_periodic_point``, ``GroupElement.__pow__`` and the translate scan
 of ``aperiodicity_bound`` replaced: one group product and one weight call
-per support point per step.  The tests hold the array walks to them bit
-for bit.
+per support point per step, and every n up to n_max in the scan.  The
+tests hold the array walks to them bit for bit.
+
+``log_tables`` is the one cumsum over whole rows that the blocked
+``dynamics._log_tables`` replaced, and ``sweep`` is the engine's sweep
+one n at a time, with ``_select_e`` at every budget, which
+``dynamics._sweep`` replaced at a deficit budget of 0.
 """
 
+import math
+
+import numpy as np
+
+from orliczdyn import dynamics
 from orliczdyn.dynamics import (
     DisjointnessViolatedError,
     DynamicsError,
@@ -115,3 +125,41 @@ def build_periodic_point(op, phi, f, E, n, t_max, epsilon=None):
     fwd_beyond = apply(op, cur, n)
     tail_bound = fwd_beyond.luxemburg_norm(phi) + bwd_last.luxemburg_norm(phi)
     return PeriodicPointResult(point=p, tail_bound=tail_bound, n=n, t_max=t_max)
+
+
+def log_tables(model, units, a, weight, depth):
+    zero = np.zeros((len(units), 1))
+    return tuple(
+        np.hstack([zero, np.cumsum(weight.orbit_logs(model, units, b, js), axis=1)])
+        for b, js in [(a, np.arange(1, depth + 1)), (a.inverse(), np.arange(depth))]
+    )
+
+
+def sweep(scenario, conditions):
+    columns = {c.name: c for cond in conditions for c in cond.columns}
+    depths = [0] * scenario.L
+    for c in columns.values():
+        for l, k in c.reads.items():
+            depths[l] = max(depths[l], k * scenario.n_max)
+    tables = dynamics._OrbitTables(scenario, depths)
+    mass = scenario.model.haar_cell_mass
+    budget = int(math.floor(scenario.e_deficit_cap / mass + 1e-9))
+    out = [([], []) for _ in conditions]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        for n in range(1, scenario.n_max + 1):
+            values = {}
+            for name, c in columns.items():
+                v = c.values(tables, n)
+                values[name] = (v, v) if c.exact else v
+            for cond, (rows, oks) in zip(conditions, out):
+                accept = np.vstack([values[c.name][1] for c in cond.columns])
+                ok, keep, dropped = dynamics._select_e(accept, scenario.epsilon, budget)
+                sups = tuple(float(np.max(values[c.name][0][keep])) for c in cond.columns)
+                rows.append((n, sups, dropped * mass))
+                oks.append(ok)
+    results = []
+    for cond, (rows, oks) in zip(conditions, out):
+        n_star = dynamics._verdict_n(oks, cond.tail)
+        verdict = dynamics.VERDICT_NOT_VERIFIED if n_star is None else dynamics.VERDICT_VERIFIED
+        results.append((verdict, n_star, None, tuple(rows)))
+    return results

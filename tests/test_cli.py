@@ -207,6 +207,69 @@ class TestCheck:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"epsilon": True}, "'epsilon'"),
+            ({"epsilon": "0.01"}, "'epsilon'"),
+            ({"e_k_deficit_cap": False}, "'e_k_deficit_cap'"),
+            ({"e_k_deficit_cap": "0"}, "'e_k_deficit_cap'"),
+            ({"weights": [{"rule": "constant", "c": "3"}] * 2}, "'weights[0].c'"),
+            ({"weights": [STEP_W, dict(STEP_W, base=True)]}, "'weights[1].base'"),
+            ({"weights": [dict(STEP_W, lo="-1"), STEP_W]}, "'weights[0].lo'"),
+            ({"weights": [dict(STEP_W, hi=None), STEP_W]}, "'weights[0].hi'"),
+            (
+                {"weights": [STEP_W, {"rule": "table", "entries": [], "default": "2.0"}]},
+                "'weights[1].default'",
+            ),
+            (
+                {"weights": [STEP_W, {"rule": "table", "entries": [[[1], True]], "default": 2.0}]},
+                "'weights[1].entries'",
+            ),
+            (
+                {"weights": [STEP_W, {"rule": "table", "entries": [[[1], "3"]], "default": 2.0}]},
+                "'weights[1].entries'",
+            ),
+            ({"young": {"family": "power", "p": "2"}}, "'young.p'"),
+            ({"young": {"family": "power", "p": True}}, "'young.p'"),
+            ({"young": {"family": "powerlog", "alpha": True}}, "'young.alpha'"),
+            ({"group": {"kind": "lattice_line", "h": True}}, "'group.h'"),
+            ({"group": {"kind": "lattice_line", "h": "1"}}, "'group.h'"),
+        ],
+        ids=[
+            "epsilon_bool",
+            "epsilon_text",
+            "cap_bool",
+            "cap_text",
+            "c_text",
+            "base_bool",
+            "lo_text",
+            "hi_null",
+            "default_text",
+            "table_value_bool",
+            "table_value_text",
+            "p_text",
+            "p_bool",
+            "alpha_bool",
+            "h_bool",
+            "h_text",
+        ],
+    )
+    def test_number_fields_exit_1(self, tmp_path, capsys, overrides, field):
+        code, out = run_cli(tmp_path, z_config(**overrides))
+        assert code == 1
+        assert field in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_integer_valued_numbers_accepted(self, tmp_path):
+        doc = z_config(epsilon=1, young={"family": "power", "p": 2},
+                       weights=[dict(STEP_W, base=2, lo=-1, hi=1)] * 2)
+        code, out = run_cli(tmp_path, doc)
+        (tmp_path / "floats").mkdir()
+        want_code, want_out = run_cli(tmp_path / "floats", z_config(epsilon=1.0))
+        assert code == want_code == 0
+        assert (out / "trace.csv").read_text() == (want_out / "trace.csv").read_text()
+
+    @pytest.mark.parametrize(
         "entries",
         [
             [[[1.7], 0.5]],

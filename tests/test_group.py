@@ -3,9 +3,11 @@ import pytest
 
 import reference
 from samples import ALL_MODELS, random_element
+from orliczdyn import group
 from orliczdyn.group import (
     CompactSet,
     EmptySetError,
+    GroupElement,
     GroupError,
     GroupModel,
     ModelMismatchError,
@@ -177,6 +179,28 @@ class TestAperiodicity:
         cert = aperiodicity_bound(ZLINE.element([1]), K, 5)
         assert cert.status == "not_within_bound"
 
+    def test_z_caps_only_when_a1_is_zero(self):
+        # a_1 = 1: the twist x * n moves z back by n at x = -1, so every
+        # translate keeps z = 0 and a z cap (width 0) would stop at n = 2
+        K = CompactSet.from_elements(HEIS, [HEIS.element_units((-1, y, 0)) for y in range(11)])
+        a = HEIS.element_units((0, 1, 1))
+        cert = aperiodicity_bound(a, K, 20)
+        assert cert == reference.aperiodicity_bound(a, K, 20)
+        assert cert.status == "aperiodic" and cert.bound == 10
+
+    def test_scan_stops_at_projection_cap(self, monkeypatch):
+        # caps: x 12 // 1, z 12 // 2 (a_1 = 0); so n <= 6 of 256 are tested
+        tested, products = [], []
+        row_index = group.row_index
+        mul = GroupElement.__mul__
+        monkeypatch.setattr(group, "row_index", lambda *args: tested.append(1) or row_index(*args))
+        monkeypatch.setattr(GroupElement, "__mul__", lambda *args: products.append(1) or mul(*args))
+        K = CompactSet.box(HEIS, [-6] * 3, [6] * 3)
+        cert = aperiodicity_bound(HEIS.element_units((1, 0, 2)), K, 256)
+        assert cert.status == "aperiodic" and cert.bound == 6
+        assert len(tested) <= 6
+        assert products
+
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError):
             aperiodicity_bound(ZLINE.element([1]), CompactSet.box(ZLINE, [2], [1]), 10)
@@ -202,8 +226,9 @@ def _random_scan_case(model, rng):
 
 
 class TestAperiodicityMatchesReference:
-    """The array scan against the scalar loop it replaced: same certificate,
-    or the same exception with the same message."""
+    """The capped array scan against the full scalar loop it replaced: same
+    certificate, or the same exception with the same message (5,040 random
+    cases)."""
 
     @pytest.mark.parametrize(
         "seed,model",
@@ -214,7 +239,7 @@ class TestAperiodicityMatchesReference:
         rng = np.random.default_rng(seed)
         seen = set()
         for n_max in (1, 2, 3, 7, 20, 60):
-            for _ in range(25):
+            for _ in range(140):
                 a, K = _random_scan_case(model, rng)
                 want = _scan_outcome(reference.aperiodicity_bound, a, K, n_max)
                 assert _scan_outcome(aperiodicity_bound, a, K, n_max) == want

@@ -7,8 +7,8 @@ and trace.csv, prints a one-line verdict and exits with 0 (verified),
 
 ``orliczdyn trace`` writes only the per-n trace CSV.
 
-ORLICZ_DYN_THREADS caps the worker count when several configs are given
-(0 or unset means auto).
+The configs of one call run on a thread pool of one worker per CPU, at
+most one per config.
 """
 
 from __future__ import annotations
@@ -67,12 +67,13 @@ def _field(doc: dict, name: str, caster, default=None, required=True):
 
 def _parse_set(model: GroupModel, doc) -> CompactSet:
     if isinstance(doc, dict) and "box" in doc:
-        box = doc["box"]
-        return CompactSet.box(model, box["lo"], box["hi"])
-    if isinstance(doc, dict) and "points" in doc:
-        return CompactSet.from_elements(
-            model, (model.element(c) for c in doc["points"])
+        box = _field(doc, "K.box", _object)
+        return CompactSet.box(
+            model, _field(box, "K.box.lo", _coords), _field(box, "K.box.hi", _coords)
         )
+    if isinstance(doc, dict) and "points" in doc:
+        points = _field(doc, "K.points", lambda ps: [model.element(_coords(c)) for c in ps])
+        return CompactSet.from_elements(model, points)
     raise ConfigError("field 'K' must carry a 'box' or 'points' entry")
 
 
@@ -83,7 +84,7 @@ def parse_config(doc: dict):
         raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")
     model = _field(doc, "group", _group)
     phi = _field(doc, "young", _young)
-    a = _field(doc, "a", lambda c: model.element(c))
+    a = _field(doc, "a", lambda c: model.element(_coords(c)))
     weights = _field(doc, "weights", _weights)
     powers = _field(doc, "powers", lambda rs: tuple(_positive_int(r) for r in rs))
     K = _field(doc, "K", lambda d: _parse_set(model, d))
@@ -127,6 +128,15 @@ def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _coords(value) -> list:
+    """A list of JSON numbers, returned as given."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    for c in value:
+        _number(c)
+    return value
 
 
 def _positive_int(value) -> int:
@@ -282,17 +292,6 @@ def _run_one(config_path: Path, outdir: Path, formats, override: bool, trace_onl
     return _EXIT_BY_VERDICT[report.verdict]
 
 
-def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("ORLICZ_DYN_THREADS", "0")
-    try:
-        cap = int(cap)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="orliczdyn",
@@ -323,16 +322,13 @@ def main(argv=None) -> int:
     for cfg in configs:
         outdir = args.out if len(configs) == 1 else args.out / cfg.stem
         jobs.append((cfg, outdir))
-    if len(jobs) == 1:
-        codes = [_run_one(jobs[0][0], jobs[0][1], formats, args.override_diagnostics, trace_only)]
-    else:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
-            codes = list(
-                pool.map(
-                    lambda j: _run_one(j[0], j[1], formats, args.override_diagnostics, trace_only),
-                    jobs,
-                )
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as pool:
+        codes = list(
+            pool.map(
+                lambda j: _run_one(j[0], j[1], formats, args.override_diagnostics, trace_only),
+                jobs,
             )
+        )
     if any(c == 1 for c in codes):
         return 1
     return max(codes)

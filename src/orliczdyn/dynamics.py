@@ -17,13 +17,11 @@ conditions over the same tables.  The conditions are limit statements,
 so a failed sweep is reported as "not verified within bound", never as
 a disproof.
 
-With a deficit budget of 0 (every counting-measure model, and a lattice
-model whose ``e_deficit_cap`` is below one cell) E_n is all of K, so
-each trace cell is a plain max over K.  The sweep then reads every
-column for a whole block of n at once (``_sweep_all_n``).  A budget of
-one cell or more needs ``_select_e`` at each n, which looks at every
-column at that n together, so it runs one n at a time
-(``_sweep_each_n``).  Both give the same rows, bit for bit.
+The sweep reads every column once for a whole block of n.  E_n is all
+of K unless some point violates at n and the deficit budget
+(``e_deficit_cap`` in whole Haar cells, only on lattice models) is one
+cell or more; then ``_select_e`` drops the worst violators, at most the
+budget, and the trace cell is the max over what is left.
 
 Quantities per operator index l (power r_l), at sweep index n:
 
@@ -444,33 +442,36 @@ def _weight_refusal(scenario: Scenario, ops) -> str | None:
     return None
 
 
-def _select_e(accept_matrix: np.ndarray, eps: float, budget: int):
-    """Choose E_n: keep everything except up to `budget` violating points.
+def _select_e(worst, eps: float, budget: int):
+    """Choose E_n for a block of n from one condition's (|K|, n) worst
+    accept values per point: keep everything except up to ``budget``
+    violating points.
 
-    Returns (ok, keep_mask, dropped_count).  The largest admissible E is
-    used (only points with some quantity >= eps are dropped); when the
-    budget is too small the worst offenders are dropped for the trace and
-    ok is False.
+    A point violates at n when its worst value is not below eps (NaN
+    violates).  n is ok when at most ``budget`` points violate; the
+    largest admissible E is used, and when the budget is too small the
+    worst offenders are dropped for the trace.  Points rank by their worst
+    value, NaN as +inf, ties by position in K.  Returns (ok, keep, dropped)
+    per n, with ``keep`` None when nothing is dropped in the block.
     """
-    n_pts = accept_matrix.shape[1]
-    worst = np.max(accept_matrix, axis=0)
-    budget = min(budget, n_pts - 1)
-    viol = np.flatnonzero(~(worst < eps))
-    keep = np.ones(n_pts, dtype=bool)
-    if viol.size == 0:
-        return True, keep, 0
-    if viol.size <= budget:
-        keep[viol] = False
-        return True, keep, int(viol.size)
-    order = np.lexsort((np.arange(n_pts), -np.where(np.isnan(worst), np.inf, worst)))
-    drop = order[:budget]
-    keep[drop] = False
-    return False, keep, int(budget)
+    viol = np.count_nonzero(~(worst < eps), axis=0)
+    dropped = np.minimum(viol, budget)
+    if not dropped.any():
+        return viol <= budget, None, dropped
+    order = np.argsort(-np.where(np.isnan(worst), np.inf, worst), axis=0, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(len(worst))[:, None], axis=0)
+    return viol <= budget, rank >= dropped, dropped
 
 
 def _sweep(scenario, conditions):
     """Run n = 1..n_max once for all conditions over one table build.
 
+    Each column is read once for a whole block of n; a block holds at most
+    ORBIT_BLOCK_CELLS cells per array (|K| x n x t_max for a series), or
+    one n when that alone is more.  Its accept values fold into each
+    condition's worst value per point, ``_select_e`` chooses E_n for the
+    block from those, and a trace cell is the column's max over E_n.
     Returns (verdict, n_star, None, rows) for each condition.
     """
     columns = {c.name: c for cond in conditions for c in cond.columns}
@@ -479,73 +480,45 @@ def _sweep(scenario, conditions):
         for l, k in c.reads.items():
             depths[l] = max(depths[l], k * scenario.n_max)
     tables = _OrbitTables(scenario, depths)
+    n_pts, n_max = len(tables.points), scenario.n_max
     mass = scenario.model.haar_cell_mass
-    budget = int(math.floor(scenario.e_deficit_cap / mass + 1e-9))
+    budget = min(int(math.floor(scenario.e_deficit_cap / mass + 1e-9)), n_pts - 1)
+    width = max((scenario.t_max for c in columns.values() if not c.exact), default=1)
+    block = max(1, ORBIT_BLOCK_CELLS // (n_pts * width))
+    owned = [{c.name for c in cond.columns} for cond in conditions]
+    out = [([], []) for _ in conditions]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        if budget:
-            out = _sweep_each_n(scenario, conditions, columns, tables, budget, mass)
-        else:
-            out = _sweep_all_n(scenario, conditions, columns, tables)
+        for start in range(1, n_max + 1, block):
+            ns = np.arange(start, min(start + block, n_max + 1))
+            tops, traces, worst = {}, {}, [None] * len(conditions)
+            for name, c in columns.items():
+                v = c.values(tables, ns)
+                trace, accept = (v, v) if c.exact else v
+                tops[name] = np.max(trace, axis=0)
+                # only a budget lets E_n differ from K; without one, holding
+                # a block's columns only puts each block on fresh pages
+                if budget:
+                    traces[name] = trace
+                for k, names in enumerate(owned):
+                    if name in names:
+                        worst[k] = accept if worst[k] is None else np.maximum(worst[k], accept)
+            for cond, w, (rows, oks) in zip(conditions, worst, out):
+                ok, keep, dropped = _select_e(w, scenario.epsilon, budget)
+                sups = [
+                    tops[c.name]
+                    if keep is None
+                    else np.max(traces[c.name], axis=0, where=keep, initial=-np.inf)
+                    for c in cond.columns
+                ]
+                cells = zip(*(s.tolist() for s in sups))
+                rows += zip(ns.tolist(), cells, (dropped * mass).tolist())
+                oks += ok.tolist()
     results = []
     for cond, (rows, oks) in zip(conditions, out):
         n_star = _verdict_n(oks, cond.tail)
         verdict = VERDICT_NOT_VERIFIED if n_star is None else VERDICT_VERIFIED
         results.append((verdict, n_star, None, tuple(rows)))
     return results
-
-
-def _sweep_each_n(scenario, conditions, columns, tables, budget, mass):
-    """(rows, oks) per condition, one n at a time: E_n depends on every
-    column at n through ``_select_e``."""
-    out = [([], []) for _ in conditions]
-    for n in range(1, scenario.n_max + 1):
-        values = {}
-        for name, c in columns.items():
-            v = c.values(tables, n)
-            values[name] = (v, v) if c.exact else v
-        for cond, (rows, oks) in zip(conditions, out):
-            accept = np.vstack([values[c.name][1] for c in cond.columns])
-            ok, keep, dropped = _select_e(accept, scenario.epsilon, budget)
-            sups = tuple(float(np.max(values[c.name][0][keep])) for c in cond.columns)
-            rows.append((n, sups, dropped * mass))
-            oks.append(ok)
-    return out
-
-
-def _sweep_all_n(scenario, conditions, columns, tables):
-    """(rows, oks) per condition with a deficit budget of 0, in blocks of n.
-
-    Then ``_select_e`` keeps all of K: a trace cell is the max over K, and
-    n is ok when no accept value of the condition reaches epsilon (NaN
-    counts as reaching it).  Each column is read for a whole block of n at
-    once and folded into each condition's running max.  A block holds at
-    most ORBIT_BLOCK_CELLS cells per array (|K| x n x t_max for a series),
-    or one n when that alone is more.
-    """
-    n_max = scenario.n_max
-    width = max((scenario.t_max for c in columns.values() if not c.exact), default=1)
-    block = max(1, ORBIT_BLOCK_CELLS // (len(tables.points) * width))
-    owned = [{c.name for c in cond.columns} for cond in conditions]
-    sups = {name: [] for name in columns}
-    oks = [[] for _ in conditions]
-    for start in range(1, n_max + 1, block):
-        ns = np.arange(start, min(start + block, n_max + 1))
-        worst = [np.full(len(ns), -np.inf) for _ in conditions]
-        for name, c in columns.items():
-            v = c.values(tables, ns)
-            trace, accept = (v, v) if c.exact else v
-            sups[name] += np.max(trace, axis=0).tolist()
-            top = np.max(accept, axis=0)
-            for names, w in zip(owned, worst):
-                if name in names:
-                    np.maximum(w, top, out=w)
-        for ok, w in zip(oks, worst):
-            ok += (w < scenario.epsilon).tolist()
-    rows = [
-        [(n, tuple(sups[c.name][n - 1] for c in cond.columns), 0.0) for n in range(1, n_max + 1)]
-        for cond in conditions
-    ]
-    return list(zip(rows, oks))
 
 
 def _verdict_n(oks, tail: bool):

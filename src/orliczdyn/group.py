@@ -358,10 +358,6 @@ class AperiodicityCertificate:
     bound: int | None
     n_max: int
 
-    @property
-    def is_aperiodic(self) -> bool:
-        return self.status == "aperiodic"
-
 
 def _projection_cap(a: GroupElement, rows) -> int:
     """An n past which no translate K*a^n meets K (K given by its unit rows):

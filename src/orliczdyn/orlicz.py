@@ -141,9 +141,6 @@ class OrliczVector:
     def abs_values(self) -> np.ndarray:
         return np.abs(np.fromiter(self._entries.values(), dtype=np.float64, count=len(self._entries)))
 
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self._entries.values()), default=0.0)
-
     # -- modular and norm -------------------------------------------------
     def modular(self, k: float, phi: YoungFunction) -> float:
         """Sum of phi(|f(x)| / k) over the support, times the cell mass."""

@@ -7,9 +7,10 @@ per support point per step, and every n up to n_max in the scan.  The
 tests hold the array walks to them bit for bit.
 
 ``log_tables`` is the one cumsum over whole rows that the blocked
-``dynamics._log_tables`` replaced, and ``sweep`` is the engine's sweep
-one n at a time, with ``_select_e`` at every budget, which
-``dynamics._sweep`` replaced at a deficit budget of 0.
+``dynamics._log_tables`` replaced.  ``sweep`` is the engine's sweep one n
+at a time, and ``select_e`` chooses E_n at one n from every accept row
+of a condition; ``dynamics._sweep`` and ``dynamics._select_e`` replaced
+them with one blocked sweep that chooses E_n for a block of n at once.
 """
 
 import math
@@ -135,6 +136,30 @@ def log_tables(model, units, a, weight, depth):
     )
 
 
+def select_e(accept_matrix: np.ndarray, eps: float, budget: int):
+    """Choose E_n: keep everything except up to `budget` violating points.
+
+    Returns (ok, keep_mask, dropped_count).  The largest admissible E is
+    used (only points with some quantity >= eps are dropped); when the
+    budget is too small the worst offenders are dropped for the trace and
+    ok is False.
+    """
+    n_pts = accept_matrix.shape[1]
+    worst = np.max(accept_matrix, axis=0)
+    budget = min(budget, n_pts - 1)
+    viol = np.flatnonzero(~(worst < eps))
+    keep = np.ones(n_pts, dtype=bool)
+    if viol.size == 0:
+        return True, keep, 0
+    if viol.size <= budget:
+        keep[viol] = False
+        return True, keep, int(viol.size)
+    order = np.lexsort((np.arange(n_pts), -np.where(np.isnan(worst), np.inf, worst)))
+    drop = order[:budget]
+    keep[drop] = False
+    return False, keep, int(budget)
+
+
 def sweep(scenario, conditions):
     columns = {c.name: c for cond in conditions for c in cond.columns}
     depths = [0] * scenario.L
@@ -153,7 +178,7 @@ def sweep(scenario, conditions):
                 values[name] = (v, v) if c.exact else v
             for cond, (rows, oks) in zip(conditions, out):
                 accept = np.vstack([values[c.name][1] for c in cond.columns])
-                ok, keep, dropped = dynamics._select_e(accept, scenario.epsilon, budget)
+                ok, keep, dropped = select_e(accept, scenario.epsilon, budget)
                 sups = tuple(float(np.max(values[c.name][0][keep])) for c in cond.columns)
                 rows.append((n, sups, dropped * mass))
                 oks.append(ok)

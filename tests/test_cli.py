@@ -234,6 +234,15 @@ class TestCheck:
             ({"young": {"family": "powerlog", "alpha": True}}, "'young.alpha'"),
             ({"group": {"kind": "lattice_line", "h": True}}, "'group.h'"),
             ({"group": {"kind": "lattice_line", "h": "1"}}, "'group.h'"),
+            ({"a": [True]}, "'a'"),
+            ({"a": [False]}, "'a'"),
+            ({"K": {"points": [[True], [0]]}}, "'K.points'"),
+            ({"K": {"points": [["1"]]}}, "'K.points'"),
+            ({"K": {"points": [[None]]}}, "'K.points'"),
+            ({"K": {"box": {"lo": [-3], "hi": [True]}}}, "'K.box.hi'"),
+            ({"K": {"box": {"lo": ["-3"], "hi": [3]}}}, "'K.box.lo'"),
+            ({"K": {"box": {"lo": [-3]}}}, "'K.box.hi'"),
+            ({"K": {"box": [[-3], [3]]}}, "'K.box'"),
         ],
         ids=[
             "epsilon_bool",
@@ -252,6 +261,15 @@ class TestCheck:
             "alpha_bool",
             "h_bool",
             "h_text",
+            "a_bool",
+            "a_false",
+            "points_bool",
+            "points_text",
+            "points_null",
+            "box_hi_bool",
+            "box_lo_text",
+            "box_hi_missing",
+            "box_not_object",
         ],
     )
     def test_number_fields_exit_1(self, tmp_path, capsys, overrides, field):

@@ -1,14 +1,16 @@
 """The sweep engine against the loops it replaced.
 
-At a deficit budget of 0 ``dynamics._sweep`` reads each column for a
-block of n at once; ``reference.sweep`` is the loop one n at a time.
-Every checker mode must give the same trace.csv, verdict, n_star, reason
-and sub-verdicts, byte for byte, at the default block size and at one
-small enough to split n_max into several blocks.  ``_log_tables`` fills
-its tables in column blocks and must match one cumsum over whole rows
-bit for bit.
+``dynamics._sweep`` reads each column for a block of n at once and
+chooses E_n for the whole block; ``reference.sweep`` is the loop one n
+at a time, with ``reference.select_e`` at each n.  Every checker mode
+must give the same trace.csv, verdict, n_star, reason and sub-verdicts,
+byte for byte, at deficit budgets of 0 and above, at the default block
+size and at one small enough to split n_max into several blocks.
+``_log_tables`` fills its tables in column blocks and must match one
+cumsum over whole rows bit for bit.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ MODES = {
     "disjoint_chaotic": dynamics.check_disjoint_chaotic,
 }
 SMALL_BLOCK_CELLS = 97
+LATTICE_KINDS = ("lattice_line", "heisenberg_lattice")
 
 
 def random_weight(rule, model, rng):
@@ -96,11 +99,19 @@ def test_modes_match_reference(monkeypatch, model, rule, cells):
     if cells:
         monkeypatch.setattr(dynamics, "ORBIT_BLOCK_CELLS", cells)
     rng = np.random.default_rng([ALL_MODELS.index(model), RULES.index(rule)])
+    caps = np.random.default_rng([ALL_MODELS.index(model), RULES.index(rule), 1])
     for mode, check in MODES.items():
         scenario = random_scenario(model, rule, rng, same=mode == "same_weight")
-        for override in (False, True):
-            got, want = engine_and_reference(monkeypatch, check, scenario, override)
-            assert got == want, (mode, override)
+        scenarios = [scenario]
+        if model.kind in LATTICE_KINDS:
+            # a budget of 1 to |K| + 1 cells, so some runs pass the clamp at |K| - 1
+            cells = caps.uniform(1, len(scenario.K) + 2)
+            cap = cells * model.haar_cell_mass
+            scenarios.append(dataclasses.replace(scenario, e_deficit_cap=cap))
+        for s in scenarios:
+            for override in (False, True):
+                got, want = engine_and_reference(monkeypatch, check, s, override)
+                assert got == want, (mode, override, s.e_deficit_cap)
 
 
 def probe_column(sizes):
@@ -160,7 +171,77 @@ def test_nan_and_inf_columns_in_uneven_blocks(monkeypatch):
     assert {r[0] for r in got} == {"verified", "not_verified_within_bound"}
 
 
-def test_positive_budget_takes_the_per_n_loop(monkeypatch):
+def probe_a(t, n):
+    """Point 0 at 3 when n % 4 == 1 (a three-way tie with b and s), point
+    4 at 2 when n % 4 == 3, and every point at 5 at n = 6."""
+    n = np.asarray(n)
+    v = np.full((5,) + n.shape, 0.5)
+    v[0] = np.where(n % 4 == 1, 3.0, 0.5)
+    v[4] = np.where(n % 4 == 3, 2.0, 0.5)
+    return np.where(n == 6, 5.0, v)
+
+
+def probe_b(t, n):
+    n = np.asarray(n)
+    v = np.full((5,) + n.shape, 0.5)
+    v[1] = np.where(n % 4 == 1, 3.0, 0.5)
+    return v
+
+
+def probe_s(t, n):
+    """(trace, accept): point 2 at 3 when n % 4 == 1, and a NaN accept at
+    point 3, whose trace is 0.25, when n % 4 is 2 or 3."""
+    n = np.asarray(n)
+    r = n % 4
+    trace = np.full((5,) + n.shape, 0.5)
+    trace[2] = np.where(r == 1, 3.0, 0.5)
+    trace[3] = 0.25
+    accept = trace.copy()
+    accept[3] = np.where((r == 2) | (r == 3), np.nan, 0.25)
+    return trace, accept
+
+
+@pytest.mark.parametrize("cells", [1, 2, 10])
+def test_budget_ties_nan_and_clamp_in_uneven_blocks(monkeypatch, cells):
+    model = GroupModel.lattice_line(0.25)
+    scenario = Scenario(
+        model=model,
+        phi=PowerYoung(2.0),
+        a=model.element([0.25]),
+        weights=(ConstantWeight(2.0),),
+        powers=(1,),
+        K=CompactSet.box(model, [0.0], [1.0]),
+        epsilon=1.0,
+        n_max=13,
+        t_max=8,
+        e_deficit_cap=cells * 0.25,
+    )
+    # 5 points and a series column at t_max 8: blocks of 3 n, the last of 1
+    monkeypatch.setattr(dynamics, "ORBIT_BLOCK_CELLS", 5 * 3 * 8)
+    a, b = _Column("a", {0: 1}, probe_a), _Column("b", {0: 1}, probe_b)
+    s = _Column("s", {0: 1}, probe_s, exact=False)
+    conditions = [
+        _Condition((a, b, s), (0,)),
+        _Condition((a, b, s), (0,), tail=True),
+        _Condition((a,), (0,)),
+    ]
+    got = dynamics._sweep(scenario, conditions)
+    want = reference.sweep(scenario, conditions)
+    assert repr(got) == repr(want)
+    rows = got[0][3]
+    budget = min(cells, 4)
+    # n = 1: points 0, 1 and 2 tie at 3, and the first of them go
+    dropped = min(budget, 3)
+    assert rows[0] == (1, tuple(0.5 if i < dropped else 3.0 for i in range(3)), 0.25 * dropped)
+    # n = 2: only the NaN accept at point 3 violates; dropping it verifies
+    assert rows[1][2] == 0.25 and got[0][1] == (1 if budget >= 3 else 2)
+    # n = 3: the NaN outranks point 4's 2.0
+    assert rows[2][1][0] == (2.0 if budget == 1 else 0.5)
+    # n = 6: all 5 points violate, more than any budget (clamped to 4)
+    assert rows[5] == (6, (5.0, 0.5, 0.5), 0.25 * budget)
+
+
+def test_positive_budget_matches_reference(monkeypatch):
     m = GroupModel.lattice_line(0.25)
     table = {(u,): 2.0 for u in range(-700, 0)}
     table.update({(u,): 1.0 for u in range(0, 9)})

@@ -30,7 +30,7 @@ from .dynamics import (
     build_witness,
     verify_witness,
 )
-from .group import CompactSet, GroupError, GroupModel
+from .group import CompactSet, GroupError, GroupModel, row_index
 from .orlicz import OrliczVector
 from .translation import Weight, WeightError
 from .young import YoungFunction, YoungFunctionError, young_from_config
@@ -165,18 +165,18 @@ def _young(doc) -> YoungFunction:
 
 
 def _table_entries(entries) -> None:
-    """[[key, value], ...]: distinct keys that are lists of integers, and
-    values that are numbers."""
+    """[[key, value], ...] of a weight table or a vector: distinct keys
+    that are lists of integers, and values that are numbers."""
     keys = []
     for key, value in entries:
         if not isinstance(key, list) or not all(
             isinstance(u, int) and not isinstance(u, bool) for u in key
         ):
-            raise ValueError(f"table key {key!r} must be a list of integers")
+            raise ValueError(f"key {key!r} must be a list of integers")
         _number(value)
         keys.append(tuple(key))
     if len(set(keys)) < len(keys):
-        raise ValueError("table keys must be distinct")
+        raise ValueError("keys must be distinct")
 
 
 def _weights(docs) -> tuple:
@@ -202,8 +202,9 @@ def _parse_witness(doc: dict, scenario: Scenario) -> dict:
     model, K, L = scenario.model, scenario.K, scenario.L
 
     def vector(entries):
+        _table_entries(entries)
         v = OrliczVector.from_json_entries(model, entries)
-        if any(x not in K for x in v.support):
+        if (row_index(v.units, K.units) < 0).any():
             raise ValueError("support escapes K")
         return v
 

@@ -270,15 +270,14 @@ class _OrbitTables:
     """
 
     def __init__(self, scenario: Scenario, depths):
-        self.points = scenario.K.sorted_elements()
-        n_pts = len(self.points)
+        units = scenario.K.units
+        n_pts = len(units)
         max_depth = max(depths)
         if n_pts * max_depth > _MAX_TABLE_CELLS:
             raise ScenarioError(
                 f"orbit table of {n_pts} x {max_depth} cells exceeds the desk-scale cap"
             )
         model = scenario.model
-        units = model.units_array(self.points)
         weights = scenario.weights
         self.fwd = [None] * scenario.L
         self.bwd = [None] * scenario.L
@@ -480,7 +479,7 @@ def _sweep(scenario, conditions):
         for l, k in c.reads.items():
             depths[l] = max(depths[l], k * scenario.n_max)
     tables = _OrbitTables(scenario, depths)
-    n_pts, n_max = len(tables.points), scenario.n_max
+    n_pts, n_max = len(scenario.K), scenario.n_max
     mass = scenario.model.haar_cell_mass
     budget = min(int(math.floor(scenario.e_deficit_cap / mass + 1e-9)), n_pts - 1)
     width = max((scenario.t_max for c in columns.values() if not c.exact), default=1)
@@ -655,9 +654,8 @@ def _check_supports(scenario, f, targets, E):
     if not E.issubset(K):
         raise SupportEscapesKError("E must be a subset of K")
     for name, vec in [("f", f)] + [(f"g_{i + 1}", g) for i, g in enumerate(targets)]:
-        for x in vec.support:
-            if x not in K:
-                raise SupportEscapesKError(f"support of {name} escapes K")
+        if (row_index(vec.units, K.units) < 0).any():
+            raise SupportEscapesKError(f"support of {name} escapes K")
 
 
 def build_witness(scenario, f, targets, n, E) -> OrliczVector:
@@ -728,7 +726,7 @@ def build_periodic_point(
     model = op.model
     if epsilon is not None and t_max >= 1:
         # the numbers the chaos sweep reads: its tables at depth t_max * n, summed alike
-        fwd, bwd = _log_tables(model, model.units_array(E.elements), op.a, op.weight, t_max * n)
+        fwd, bwd = _log_tables(model, E.units, op.a, op.weight, t_max * n)
         idx = n * np.arange(1, t_max + 1)
         with np.errstate(over="ignore"):
             series = np.sum(np.exp(fwd[:, idx]) + np.exp(-bwd[:, idx]), axis=1)
@@ -739,23 +737,16 @@ def build_periodic_point(
             )
     f_e = f.restrict(E)
     fwd_units, fwd = op.orbit(f_e, n, t_max + 1)
-    parts = [(fwd_units[:, :-1], fwd[:, :-1])]
+    parts = [(f_e.units[:, None], f_e.values[:, None]), (fwd_units[:, :-1], fwd[:, :-1])]
     bwd_last = f_e
     if t_max:
         bwd_units, bwd = op.orbit(f_e, n, t_max, inverse=True)
-        parts.insert(0, (bwd_units, bwd))
+        parts.append((bwd_units, bwd))
         bwd_last = OrliczVector.from_arrays(model, bwd_units[:, -1], bwd[:, -1])
-    # p = f chi_E, then S^{mn} and T^{mn} (f chi_E) for m = 1..t_max, one
-    # translate after the other.  The translates E a^(mn), |m| <= t_max, are
-    # pairwise disjoint, so no key repeats; entries that underflowed to 0.0
-    # drop out, as in a sum of vectors.
-    units = np.concatenate([u.transpose(1, 0, 2).reshape(-1, model.dim) for u, _ in parts])
-    values = np.concatenate([v.T.reshape(-1) for _, v in parts])
-    keep = values != 0.0
-    entries = dict(f_e.items())
-    entries.update(zip(model.elements(units[keep]), values[keep].tolist()))
-    p = OrliczVector(f_e.model)
-    p._entries = entries
+    # p = f chi_E plus S^{mn} and T^{mn} (f chi_E) for m = 1..t_max; the
+    # translates E a^(mn), |m| <= t_max, are pairwise disjoint, so no row repeats
+    units = np.concatenate([u.reshape(-1, model.dim) for u, _ in parts])
+    p = OrliczVector.from_arrays(model, units, np.concatenate([v.reshape(-1) for _, v in parts]))
     # residual of the truncation: T^{(t_max+1)n}(f chi_E) - S^{t_max n}(f chi_E)
     fwd_beyond = OrliczVector.from_arrays(model, fwd_units[:, -1], fwd[:, -1])
     tail_bound = fwd_beyond.luxemburg_norm(phi) + bwd_last.luxemburg_norm(phi)
@@ -770,7 +761,7 @@ def _translates_meet(E: CompactSet, b: GroupElement, count: int) -> bool:
     den(b_1 h) divides every x_0 but not b_0; then E cannot meet E b, so
     the error is the one a scan one translate at a time raises first.
     """
-    rows = E.model.units_array(E.elements)
+    rows = E.units
     if not len(rows):
         return False
     block = max(1, ORBIT_BLOCK_CELLS // len(rows))

@@ -14,7 +14,8 @@ the inverse is (x,y,z)^-1 = (-x,-y,xy-z).  On a lattice the twist x*y'
 must land back on the lattice; products that do not raise OffLatticeError
 (the check is exact, via a rational reading of h).
 
-Hot paths work on (N, d) unit arrays instead of scalar elements:
+A ``CompactSet`` holds its points as distinct (N, d) unit rows in
+lexicographic order (``sorted_rows``); its elements are built on demand.
 ``GroupModel.orbit_units`` gives whole orbits x * b^j in closed form and
 ``row_index`` matches unit rows exactly.  The aperiodicity scan moves all
 of K by a^n with one ``orbit_units`` call and tests K /\\ K*a^n with one
@@ -29,7 +30,6 @@ translate misses K, and the certificate is the one a scan to n_max gives.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,12 +220,22 @@ class GroupModel:
             self._twist_units((int(x0[0]) + b.units[0],), b.units)
 
 
+def sorted_rows(units: np.ndarray):
+    """(order, new): the stable lexicographic order of the rows of an
+    (N, d) units array, and which rows of ``units[order]`` differ from the
+    row before them.  Exact for int64 and Python-int arrays alike."""
+    order = np.lexsort(units.T[::-1])
+    ranked = units[order]
+    new = np.ones(len(units), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, new
+
+
 def row_index(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Index in ``keys`` (distinct rows) of each row of ``rows``, -1 if absent.
 
     Rows outside the keys' bounding box cannot match and are dropped
-    first; the rest are compared whole after one lexsort, so the match is
-    exact for int64 and Python-int unit arrays alike.
+    first; the rest are compared whole after one ``sorted_rows``.
     """
     out = np.full(len(rows), -1, dtype=np.int64)
     if not len(keys) or not len(rows):
@@ -236,10 +246,7 @@ def row_index(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     if not inside.size:
         return out
     both = np.concatenate([keys, rows[inside]])
-    order = np.lexsort(both.T[::-1])
-    ranked = both[order]
-    new = np.ones(len(both), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    order, new = sorted_rows(both)
     ids = np.empty(len(both), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     slot = np.full(len(both), -1, dtype=np.int64)
@@ -285,64 +292,70 @@ class GroupElement:
         return GroupElement(self.model, tuple(int(u) for u in units))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactSet:
-    """Finite explicit set of group elements; Haar mass is exact."""
+    """Finite set of group elements: its distinct unit rows in lexicographic
+    order, as one (N, d) array.  Haar mass is exact."""
 
     model: GroupModel
-    elements: frozenset
+    units: np.ndarray
 
     @classmethod
     def from_elements(cls, model: GroupModel, elements) -> "CompactSet":
-        elems = frozenset(elements)
-        for e in elems:
-            if e.model != model:
-                raise ModelMismatchError("set element from a different model")
-        return cls(model, elems)
+        elems = list(elements)
+        if any(e.model != model for e in elems):
+            raise ModelMismatchError("set element from a different model")
+        units = model.units_array(elems)
+        order, new = sorted_rows(units)
+        return cls(model, units[order[new]])
 
     @classmethod
     def box(cls, model: GroupModel, lo, hi) -> "CompactSet":
         """All lattice points with real coordinates inside [lo_i, hi_i]."""
         if len(lo) != model.dim or len(hi) != model.dim:
             raise GroupError("box bounds must match the model dimension")
-        ranges = []
+        axes = []
         for a, b in zip(lo, hi):
             u0 = math.ceil(a / model.h - 1e-9)
             u1 = math.floor(b / model.h + 1e-9)
             if u1 < u0:
-                return cls(model, frozenset())
+                return cls(model, np.zeros((0, model.dim), dtype=np.int64))
             if u1 - u0 > 10**6:
                 raise GroupError("box axis enumerates more than 1e6 lattice points")
-            ranges.append(range(u0, u1 + 1))
-        elems = frozenset(
-            GroupElement(model, units) for units in itertools.product(*ranges)
-        )
-        if len(elems) > 2 * 10**6:
+            # exact Python ints past int64, where np.arange would wrap or raise
+            fits = -_INT64_MAX - 1 <= u0 and u1 <= _INT64_MAX
+            axes.append(np.arange(u0, u1 + 1, dtype=np.int64 if fits else object))
+        if math.prod(map(len, axes)) > 2 * 10**6:
             raise GroupError("box enumerates more than 2e6 lattice points")
-        return cls(model, elems)
+        # the "ij" grid enumerates the rows in lexicographic order
+        grid = np.meshgrid(*axes, indexing="ij")
+        return cls(model, np.stack(grid, axis=-1).reshape(-1, model.dim))
 
     @property
     def measure(self) -> float:
-        return len(self.elements) * self.model.haar_cell_mass
+        return len(self) * self.model.haar_cell_mass
+
+    @property
+    def elements(self) -> list:
+        return self.model.elements(self.units)
 
     def translate(self, a: GroupElement) -> "CompactSet":
-        """Right translate K*a."""
-        return CompactSet(self.model, frozenset(k * a for k in self.elements))
-
-    def sorted_elements(self) -> list:
-        return sorted(self.elements, key=lambda e: e.units)
+        """Right translate K*a.  A right translation keeps the rows distinct
+        and in lexicographic order: x and y move by a, and z by a and a
+        twist that depends on x alone."""
+        return CompactSet(self.model, self.model.orbit_units(self.units, a, [1])[:, 0])
 
     def __contains__(self, e) -> bool:
-        return e in self.elements
+        return e.model == self.model and bool((self.units == self.model.units_array([e])).all(axis=1).any())
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.units)
 
     def issubset(self, other: "CompactSet") -> bool:
-        return self.elements <= other.elements
+        return self.model == other.model and bool((row_index(self.units, other.units) >= 0).all())
 
 
 def haar(K: CompactSet) -> float:
@@ -396,9 +409,7 @@ def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> Aperiodici
         return AperiodicityCertificate("periodic", None, n_max)
     if a.model != K.model:
         raise ModelMismatchError("elements belong to different group models")
-    # Rows in frozenset order, so a translate that leaves the lattice fails
-    # at the point of K where the product k * a^n would fail first.
-    rows = K.model.units_array(K.elements)
+    rows = K.units
     last_hit = 0
     an = a.model.identity()
     for n in range(1, min(n_max, max(2, _projection_cap(a, rows))) + 1):

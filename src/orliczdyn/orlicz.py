@@ -1,10 +1,13 @@
 """Finitely supported functions on a group model and the Luxemburg norm.
 
-Vectors are immutable maps from group elements to real scalars in
-canonical form (zero entries are dropped).  The modular of f at level k
-is the exact finite sum of phi(|f(x)|/k) times the Haar cell mass; the
-Luxemburg norm is the infimum of the k with modular at most 1, found by
-bisection (the modular is nonincreasing and continuous in k).
+A vector holds its support as distinct unit rows in lexicographic order,
+one (N, d) array ``units``, and its nonzero values as a float64 array
+``values``.  Every constructor makes this form (``_canonical`` sorts the
+rows, sums repeated rows in input order and drops zero sums; a right
+translation keeps it), so equal vectors have equal arrays.  The modular
+of f at level k is the exact finite sum of phi(|f(x)|/k) times the Haar
+cell mass; the Luxemburg norm is the infimum of the k with modular at
+most 1, found by bisection (the modular is nonincreasing and continuous).
 """
 
 from __future__ import annotations
@@ -14,28 +17,31 @@ import math
 import numpy as np
 
 from . import _accel
-from .group import CompactSet, GroupElement, GroupModel, ModelMismatchError
+from .group import (
+    CompactSet,
+    GroupElement,
+    GroupModel,
+    ModelMismatchError,
+    row_index,
+    sorted_rows,
+)
 from .young import OutOfGridError, UnboundedInverseError, YoungFunction
 
 NORM_REL_TOL = 1e-12
 
 
 class OrliczVector:
-    __slots__ = ("model", "_entries")
+    __slots__ = ("model", "units", "values")
 
     def __init__(self, model: GroupModel, entries=None):
+        """The vector of a dict or of (element, value) pairs."""
+        pairs = list(entries.items() if isinstance(entries, dict) else entries or ())
+        if any(x.model != model for x, _ in pairs):
+            raise ModelMismatchError("support point from a different model")
         self.model = model
-        data = {}
-        if entries:
-            for x, v in entries.items() if isinstance(entries, dict) else entries:
-                if x.model != model:
-                    raise ModelMismatchError("support point from a different model")
-                v = float(v)
-                if v != 0.0:
-                    data[x] = data.get(x, 0.0) + v
-                    if data[x] == 0.0:
-                        del data[x]
-        self._entries = data
+        self.units, self.values = _canonical(
+            model.units_array([x for x, _ in pairs]), [float(v) for _, v in pairs]
+        )
 
     @classmethod
     def zero(cls, model: GroupModel) -> "OrliczVector":
@@ -43,10 +49,10 @@ class OrliczVector:
 
     @classmethod
     def from_arrays(cls, model: GroupModel, units, values) -> "OrliczVector":
-        """Entries from the rows of an (N, d) units array (distinct points)
-        and N values, in row order; zero values are kept."""
-        out = cls(model)
-        out._entries = dict(zip(model.elements(units), values.tolist()))
+        """values[i] at row i of an (N, d) units array; repeated rows add up."""
+        out = cls.__new__(cls)
+        out.model = model
+        out.units, out.values = _canonical(units, values)
         return out
 
     @classmethod
@@ -56,99 +62,84 @@ class OrliczVector:
     @classmethod
     def indicator(cls, K: CompactSet) -> "OrliczVector":
         """Characteristic function of a finite set."""
-        return cls(K.model, {x: 1.0 for x in K})
+        return cls.from_arrays(K.model, K.units, np.ones(len(K)))
 
     # -- mapping access -------------------------------------------------
     @property
-    def support(self):
-        return self._entries.keys()
+    def support(self) -> list:
+        return self.model.elements(self.units)
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> list:
+        return list(zip(self.support, self.values.tolist()))
 
     def value(self, x: GroupElement) -> float:
-        return self._entries.get(x, 0.0)
+        if x.model != self.model:
+            return 0.0
+        hit = np.flatnonzero((self.units == self.model.units_array([x])).all(axis=1))
+        return float(self.values[hit[0]]) if len(hit) else 0.0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.values)
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not len(self.values)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrliczVector)
             and self.model == other.model
-            and self._entries == other._entries
+            and np.array_equal(self.units, other.units)
+            and np.array_equal(self.values, other.values)
         )
 
     def __repr__(self) -> str:
-        return f"OrliczVector({len(self._entries)} points on {self.model.kind})"
+        return f"OrliczVector({len(self)} points on {self.model.kind})"
 
     # -- linear structure ------------------------------------------------
-    def _require_same_model(self, other: "OrliczVector"):
+    def __add__(self, other: "OrliczVector") -> "OrliczVector":
         if self.model != other.model:
             raise ModelMismatchError("vectors on different group models")
-
-    def __add__(self, other: "OrliczVector") -> "OrliczVector":
-        self._require_same_model(other)
-        data = dict(self._entries)
-        for x, v in other._entries.items():
-            s = data.get(x, 0.0) + v
-            if s == 0.0:
-                data.pop(x, None)
-            else:
-                data[x] = s
-        out = OrliczVector(self.model)
-        out._entries = data
-        return out
+        units = np.concatenate([self.units, other.units])
+        return OrliczVector.from_arrays(self.model, units, np.concatenate([self.values, other.values]))
 
     def __neg__(self) -> "OrliczVector":
-        out = OrliczVector(self.model)
-        out._entries = {x: -v for x, v in self._entries.items()}
-        return out
+        return OrliczVector.from_arrays(self.model, self.units, -self.values)
 
     def __sub__(self, other: "OrliczVector") -> "OrliczVector":
         return self + (-other)
 
     def __mul__(self, c: float) -> "OrliczVector":
-        c = float(c)
-        out = OrliczVector(self.model)
-        if c != 0.0:
-            out._entries = {x: c * v for x, v in self._entries.items()}
-        return out
+        return OrliczVector.from_arrays(self.model, self.units, float(c) * self.values)
 
     __rmul__ = __mul__
 
     def restrict(self, E: CompactSet) -> "OrliczVector":
         """Pointwise product with the indicator of E."""
-        out = OrliczVector(self.model)
-        out._entries = {x: v for x, v in self._entries.items() if x in E}
-        return out
+        if E.model != self.model:
+            raise ModelMismatchError("restricting to a set of a different model")
+        inside = row_index(self.units, E.units) >= 0
+        return OrliczVector.from_arrays(self.model, self.units[inside], self.values[inside])
 
     def translate(self, a: GroupElement) -> "OrliczVector":
         """Convolution with the unit point mass at a: x -> f(x * a^-1).
 
         The support moves right by a; the multiset of values is unchanged,
         which is exactly why the Luxemburg norm is translation invariant.
+        The moved rows stay sorted and distinct, as in ``CompactSet.translate``.
         """
-        if a.model != self.model:
-            raise ModelMismatchError("translating by an element of a different model")
-        out = OrliczVector(self.model)
-        out._entries = {x * a: v for x, v in self._entries.items()}
+        out = OrliczVector.__new__(OrliczVector)
+        out.model, out.values = self.model, self.values
+        out.units = self.model.orbit_units(self.units, a, [1])[:, 0]
         return out
-
-    def abs_values(self) -> np.ndarray:
-        return np.abs(np.fromiter(self._entries.values(), dtype=np.float64, count=len(self._entries)))
 
     # -- modular and norm -------------------------------------------------
     def modular(self, k: float, phi: YoungFunction) -> float:
         """Sum of phi(|f(x)| / k) over the support, times the cell mass."""
         if not k > 0:
             raise ValueError("modular level k must be positive")
-        if not self._entries:
+        if self.is_zero():
             return 0.0
-        out = _accel.modular_sum(self.abs_values(), float(k), self.model.haar_cell_mass, phi)
+        out = _accel.modular_sum(np.abs(self.values), float(k), self.model.haar_cell_mass, phi)
         if math.isinf(out):
             raise OutOfGridError("modular argument beyond the sampled grid")
         return out
@@ -161,7 +152,7 @@ class OrliczVector:
         grid cannot certify the bracket the norm raises OutOfGridError
         rather than extrapolating.
         """
-        vals = self.abs_values()
+        vals = np.abs(self.values)
         amax = float(vals.max(initial=0.0))
         if amax == 0.0:
             # no entries, or only entries that underflowed to 0.0
@@ -201,18 +192,25 @@ class OrliczVector:
     # -- serialization -----------------------------------------------------
     def to_json_entries(self) -> list:
         """[[units..., value], ...] sorted by coordinates."""
-        return [
-            [list(x.units), v]
-            for x, v in sorted(self._entries.items(), key=lambda kv: kv[0].units)
-        ]
+        return [[u, v] for u, v in zip(self.units.tolist(), self.values.tolist())]
 
     @classmethod
     def from_json_entries(cls, model: GroupModel, entries) -> "OrliczVector":
-        return cls(
-            model,
-            [(model.element_units(e[0]), float(e[1])) for e in entries],
-        )
+        return cls(model, [(model.element_units(e[0]), float(e[1])) for e in entries])
 
 
 def indicator(K: CompactSet) -> OrliczVector:
     return OrliczVector.indicator(K)
+
+
+def _canonical(units, values):
+    """Sorted distinct rows and their nonzero sums; the values of a
+    repeated row are added one after the other, in input order."""
+    units, values = np.asarray(units), np.asarray(values, dtype=np.float64)
+    order, new = sorted_rows(units)
+    sums = values[order]
+    if not new.all():  # np.add.at costs more than the rest on small vectors
+        sums = np.zeros(int(new.sum()))
+        np.add.at(sums, np.cumsum(new) - 1, values[order])
+    keep = sums != 0.0
+    return units[order[new][keep]], sums[keep]

@@ -271,8 +271,8 @@ class WeightedTranslation:
         walk of count * n steps; with ``inverse`` the same for S.
 
         Returns (units, values) of shapes (N, count, d) and (N, count), row
-        i following the i-th key of f.  Values that underflow to 0.0 keep
-        their rows.
+        i following the i-th row of ``f.units``.  Values that underflow to
+        0.0 keep their rows here; the vectors built from them drop them.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -282,8 +282,7 @@ class WeightedTranslation:
             return np.zeros((0, count, model.dim), dtype=np.int64), np.zeros((0, count))
         if f.model != model:
             raise ModelMismatchError("elements belong to different group models")
-        units = model.units_array(f.support)
-        cur = np.fromiter(f._entries.values(), dtype=np.float64, count=len(f))[:, None]
+        units, cur = f.units, f.values[:, None]
         ends = model.orbit_units(units, step, n * np.arange(1, count + 1))
         # T multiplies by w where a step lands (x a^j, j >= 1); S divides by
         # w where it starts (x a^-j, j >= 0).  The accumulate applies the

@@ -45,14 +45,14 @@ def aperiodicity_bound(a, K, n_max):
         raise GroupError("n_max must be >= 1")
     if a.is_identity:
         return AperiodicityCertificate("periodic", None, n_max)
-    base = K.elements
+    base = set(K)
     last_hit = 0
     an = a.model.identity()
     for n in range(1, n_max + 1):
         an = an * a
         if an.is_identity:
             return AperiodicityCertificate("periodic", None, n_max)
-        if not base.isdisjoint(frozenset(k * an for k in base)):
+        if not base.isdisjoint([k * an for k in K]):
             last_hit = n
     if last_hit >= n_max:
         return AperiodicityCertificate("not_within_bound", None, n_max)
@@ -65,12 +65,7 @@ def apply(op, f, n=1):
     w, a = op.weight, op.a
     out = f
     for _ in range(n):
-        nxt = OrliczVector(op.model)
-        nxt._entries = {}
-        for x, v in out.items():
-            y = x * a
-            nxt._entries[y] = w(y) * v
-        out = nxt
+        out = OrliczVector(op.model, [(x * a, w(x * a) * v) for x, v in out.items()])
     return out
 
 
@@ -80,23 +75,19 @@ def apply_inv(op, h, n=1):
     w, a_inv = op.weight, op.a.inverse()
     out = h
     for _ in range(n):
-        nxt = OrliczVector(op.model)
-        nxt._entries = {}
-        for x, v in out.items():
-            nxt._entries[x * a_inv] = v / w(x)
-        out = nxt
+        out = OrliczVector(op.model, [(x * a_inv, v / w(x)) for x, v in out.items()])
     return out
 
 
 def build_periodic_point(op, phi, f, E, n, t_max, epsilon=None):
     if n < 1 or t_max < 0:
         raise DynamicsError("need n >= 1 and t_max >= 0")
-    base = E.elements
+    base = set(E)
     cur_set = E
     an = power(op.a, n)
     for _ in range(2 * t_max):
         cur_set = cur_set.translate(an)
-        if not base.isdisjoint(cur_set.elements):
+        if not base.isdisjoint(cur_set):
             raise DisjointnessViolatedError(
                 f"translates of E by powers of a^{n} are not pairwise disjoint"
             )

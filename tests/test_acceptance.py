@@ -117,7 +117,7 @@ def heisenberg_scenario():
 def direct_product_traces(scenario):
     """Independent oracle: linear-space cumulative products of directly
     evaluated weights along explicitly multiplied orbits."""
-    pts = scenario.K.sorted_elements()
+    pts = list(scenario.K)
     r = scenario.powers
     depth = r[-1] * scenario.n_max
     a = scenario.a

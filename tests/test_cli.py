@@ -153,6 +153,14 @@ class TestCheck:
             ({"targets": [[[[0], 1.0]]]}, "'witness.targets'"),
             ({"f": [[[5], 1.0]]}, "'witness.f'"),
             ({"targets": [[[[0], 1.0]], [[[3], 1.0]]]}, "'witness.targets'"),
+            ({"f": [[[0.0], 1.0]]}, "'witness.f'"),
+            ({"f": [[[False], 0.5]]}, "'witness.f'"),
+            ({"f": [[[0], "2"]]}, "'witness.f'"),
+            ({"f": [[[0], True]]}, "'witness.f'"),
+            ({"f": [[[0], 1.0], [[0], 1.5]]}, "'witness.f'"),
+            ({"targets": [[[[0], 1.0]], [[[0], "1"]]]}, "'witness.targets'"),
+            ({"targets": [[[[0.0], 1.0]], [[[0], 1.0]]]}, "'witness.targets'"),
+            ({"targets": [[[[0], 1.0], [[0], -1.0]], [[[0], 1.0]]]}, "'witness.targets'"),
         ],
         ids=[
             "n_text",
@@ -164,6 +172,14 @@ class TestCheck:
             "targets_count",
             "f_escapes_K",
             "target_escapes_K",
+            "f_unit_fraction",
+            "f_unit_bool",
+            "f_value_text",
+            "f_value_bool",
+            "f_repeated_key",
+            "target_value_text",
+            "target_unit_fraction",
+            "target_repeated_key",
         ],
     )
     def test_malformed_witness_exit_1(self, tmp_path, capsys, witness, field):

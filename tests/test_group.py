@@ -1,3 +1,10 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,6 +120,48 @@ class TestCompactSets:
     def test_empty(self):
         K = CompactSet.box(ZLINE, [2], [1])
         assert len(K) == 0 and haar(K) == 0.0
+        K = CompactSet.box(HEIS, [0, 0, 0], [3, -1, 3])
+        assert K.units.shape == (0, 3) and list(K) == []
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_box_matches_product_enumeration(self, model):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            u0 = rng.integers(-4, 3, size=model.dim)
+            u1 = u0 + rng.integers(0, 4, size=model.dim)
+            h = model.h
+            K = CompactSet.box(model, (u0 - 0.4) * h, (u1 + 0.4) * h)
+            want = list(itertools.product(*[range(a, b + 1) for a, b in zip(u0, u1)]))
+            assert K.units.dtype == np.int64
+            assert [e.units for e in K] == want
+            assert [tuple(u) for u in K.units.tolist()] == want
+
+    def test_box_caps(self):
+        with pytest.raises(GroupError, match="more than 2e6"):
+            CompactSet.box(GroupModel.int_lattice(2), [0, 0], [1414, 1414])
+        with pytest.raises(GroupError, match="more than 1e6"):
+            CompactSet.box(ZLINE, [0], [10**6 + 1])
+
+    def test_box_past_int64_is_exact(self):
+        big = 2**63
+        K = CompactSet.box(ZLINE, [big], [big + 4096])
+        assert len(K) == 4097 and K.units.dtype == object
+        assert K.units[:, 0].tolist() == list(range(big, big + 4097))
+        K = CompactSet.box(HEIS, [-1, 0, big - 2048], [1, 0, big])  # z crosses 2^63 - 1
+        zs = range(big - 2048, big + 1)
+        assert [e.units for e in K] == [(x, 0, z) for x in (-1, 0, 1) for z in zs]
+        assert HEIS.element_units((0, 0, big)) in K
+        assert HEIS.element_units((0, 0, big + 1)) not in K
+
+    def test_from_elements_sorts_and_drops_repeats(self):
+        rng = np.random.default_rng(6)
+        for model in ALL_MODELS:
+            pts = [random_element(model, rng, span=2) for _ in range(30)]
+            K = CompactSet.from_elements(model, pts)
+            assert [e.units for e in K] == sorted({x.units for x in pts})
+            assert [e.units for e in CompactSet.from_elements(model, pts[::-1])] == [
+                e.units for e in K
+            ]
 
     def test_right_invariance(self):
         rng = np.random.default_rng(5)
@@ -127,8 +176,10 @@ class TestCompactSets:
     def test_membership_and_subset(self):
         K = CompactSet.box(ZLINE, [-2], [2])
         E = CompactSet.box(ZLINE, [-1], [1])
-        assert ZLINE.element([0]) in K
+        assert ZLINE.element([0]) in K and ZLINE.element([3]) not in K
+        assert GroupModel.lattice_line(0.5).element([0]) not in K
         assert E.issubset(K) and not K.issubset(E)
+        assert CompactSet.from_elements(ZLINE, []).issubset(E)
 
 
 class TestAperiodicity:
@@ -145,14 +196,14 @@ class TestAperiodicity:
             n
             for n in range(1, 61)
             for an in [a**n]
-            if not K.elements.isdisjoint(K.translate(an).elements)
-            or not K.elements.isdisjoint(K.translate(an.inverse()).elements)
+            if not set(K).isdisjoint(K.translate(an))
+            or not set(K).isdisjoint(K.translate(an.inverse()))
         ]
         assert cert.bound == max(hits)
         for n in range(cert.bound + 1, 61):
             an = a**n
-            assert K.elements.isdisjoint(K.translate(an).elements)
-            assert K.elements.isdisjoint(K.translate(an.inverse()).elements)
+            assert set(K).isdisjoint(K.translate(an))
+            assert set(K).isdisjoint(K.translate(an.inverse()))
 
     def test_identity_is_periodic(self):
         K = CompactSet.box(ZLINE, [-3], [3])
@@ -313,3 +364,42 @@ class TestConfig:
     def test_bad_kind(self):
         with pytest.raises(GroupError):
             GroupModel.from_config({"kind": "free_group"})
+
+
+HASH_SEED_PROBE = """
+import json
+from orliczdyn.group import CompactSet, GroupError, GroupModel, aperiodicity_bound
+from orliczdyn.orlicz import indicator
+from orliczdyn.young import PowerYoung
+
+model = GroupModel.heisenberg_lattice(1 / 3)
+try:
+    aperiodicity_bound(
+        model.element_units((0, 1, 0)), CompactSet.box(model, [-2 / 3] * 3, [2 / 3] * 3), 5
+    )
+    message = None
+except GroupError as exc:
+    message = str(exc)
+heis = GroupModel.heisenberg_int()
+K = CompactSet.box(heis, [-3] * 3, [3] * 3)
+print(json.dumps({
+    "message": message,
+    "order": [e.units for e in K],
+    "norm": indicator(K).luxemburg_norm(PowerYoung(2.0)).hex(),
+}))
+"""
+
+
+def test_results_do_not_depend_on_the_hash_seed():
+    src = str(Path(group.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(json.loads(run.stdout))
+    assert outs[0]["message"] == "Heisenberg twist -2*1*h leaves the lattice"
+    assert len(outs[0]["order"]) == 343
+    assert outs[1] == outs[0] and outs[2] == outs[0]

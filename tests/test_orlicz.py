@@ -127,7 +127,7 @@ class TestLuxemburgNorm:
     def test_underflowed_entries_have_norm_zero(self):
         op = WeightedTranslation(ZLINE, ZLINE.element([1]), ConstantWeight(1e-200))
         f = op.apply(OrliczVector.point_mass(ZLINE.element([0])), 2)
-        assert len(f) == 1 and not f.is_zero()  # 1e-400 underflowed to 0.0
+        assert len(f) == 0 and f.is_zero()  # 1e-400 underflows to 0.0 and is dropped
         phis = [P1, P2, PowerLogYoung(2.0), CustomYoung([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)])]
         for phi in phis:
             assert f.luxemburg_norm(phi) == 0.0
@@ -188,9 +188,68 @@ class TestVectorOps:
             chi(0).translate(HEIS.element([0, 0, 0]))
         with pytest.raises(ModelMismatchError):
             chi(0) + OrliczVector.point_mass(HEIS.element([0, 0, 0]))
+        with pytest.raises(ModelMismatchError):
+            chi(0).restrict(CompactSet.box(HEIS, [0] * 3, [0] * 3))
+
+    def test_from_arrays_sorts_and_sums_in_row_order(self):
+        units = np.array([[3], [1], [3], [1], [3], [2]])
+        f = OrliczVector.from_arrays(ZLINE, units, [0.1, 1.0, 0.2, -1.0, -0.3, 0.0])
+        # (0.1 + 0.2) - 0.3 in row order; 0.1 + (0.2 - 0.3) would give -2.8e-17
+        assert f.to_json_entries() == [[[3], (0.1 + 0.2) - 0.3]]
 
     def test_json_round_trip(self):
         f = OrliczVector(ZLINE, {ZLINE.element([-4]): 0.125, ZLINE.element([0]): 1.0})
         entries = f.to_json_entries()
         assert entries == [[[-4], 0.125], [[0], 1.0]]
         assert OrliczVector.from_json_entries(ZLINE, entries) == f
+
+
+def _oracle(pairs) -> list:
+    """The old dict semantics: values of a repeated point summed in order,
+    zero sums dropped; entries sorted by units, values as bit patterns."""
+    d = {}
+    for x, v in pairs:
+        d[x] = d.get(x, 0.0) + v
+    return sorted((x.units, v.hex()) for x, v in d.items() if v != 0.0)
+
+
+def _bits(vec) -> list:
+    return [(x.units, v.hex()) for x, v in vec.items()]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+def test_vector_arithmetic_matches_dict_oracle(model):
+    """Random vectors on a few points, with repeated points, sums that
+    cancel to 0 and products that underflow to 0."""
+    rng = np.random.default_rng(ALL_MODELS.index(model))
+    choices = [0.1, 0.2, -0.3, 0.5, -0.5, 1.0, -1.0, 1e-300, 0.0]
+    seen = set()
+
+    def pairs():
+        n = int(rng.integers(0, 9))
+        return [
+            (random_element(model, rng, span=1), float(rng.choice(choices))) for _ in range(n)
+        ]
+
+    for _ in range(60):
+        p, q = pairs(), pairs()
+        f, g = OrliczVector(model, p), OrliczVector(model, q)
+        assert _bits(f) == _oracle(p)
+        units = model.units_array([x for x, _ in p])
+        assert _bits(OrliczVector.from_arrays(model, units, [v for _, v in p])) == _oracle(p)
+        assert _bits(f + g) == _oracle(f.items() + g.items())
+        assert _bits(f - g) == _oracle(f.items() + [(x, -v) for x, v in g.items()])
+        assert _bits(-f) == _oracle([(x, -v) for x, v in f.items()])
+        for c in (2.0, -0.5, 0.0, 1e-30):
+            assert _bits(c * f) == _bits(f * c) == _oracle([(x, c * v) for x, v in f.items()])
+        E = CompactSet.from_elements(model, [random_element(model, rng, span=1) for _ in range(6)])
+        assert _bits(f.restrict(E)) == _oracle([(x, v) for x, v in f.items() if x in set(E)])
+        a = random_element(model, rng, span=3)
+        assert _bits(f.translate(a)) == _oracle([(x * a, v) for x, v in f.items()])
+        want = dict(f.items())
+        for x in [x for x, _ in p + q] + [model.identity()]:
+            assert f.value(x) == want.get(x, 0.0)
+        other = ZLINE if model != ZLINE else HEIS
+        assert f.value(other.identity()) == 0.0
+        seen.add(len(p) - len(f))
+    assert max(seen) >= 3  # repeats and cancellations were exercised

@@ -272,9 +272,7 @@ def test_log_tables_match_one_cumsum(monkeypatch, model, cells):
         monkeypatch.setattr(dynamics, "ORBIT_BLOCK_CELLS", cells)
     rng = np.random.default_rng(ALL_MODELS.index(model))
     hw = 2 * model.h
-    units = model.units_array(
-        CompactSet.box(model, [-hw] * model.dim, [hw] * model.dim).sorted_elements()
-    )
+    units = CompactSet.box(model, [-hw] * model.dim, [hw] * model.dim).units
     for rule in RULES:
         a = model.identity()
         while a.is_identity:

@@ -39,7 +39,6 @@ from .young import (
     PowerLogYoung,
     PowerYoung,
     YoungFunction,
-    young_from_config,
 )
 
 __version__ = "0.1.0"
@@ -80,5 +79,4 @@ __all__ = [
     "indicator",
     "sup_abs_on",
     "verify_witness",
-    "young_from_config",
 ]

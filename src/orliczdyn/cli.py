@@ -1,9 +1,14 @@
-"""Batch experiment runner.
+"""Batch experiment runner, and the one reader of scenario documents.
 
 ``orliczdyn check --config scenario.json --out results/`` parses a
 scenario document, dispatches the selected checker, writes report.json
 and trace.csv, prints a one-line verdict and exits with 0 (verified),
 2 (not verified within bound), 3 (refused) or 1 (error).
+
+Every field has a caster that type-checks it, and ``GROUPS``, ``YOUNG``
+and ``WEIGHTS`` map each group kind, Young family and weight rule to its
+constructor and the casters of its fields.  A malformed field exits 1
+with a message that names it (``weights[1].entries``, ``young.p``).
 
 ``orliczdyn trace`` writes only the per-n trace CSV.
 
@@ -30,10 +35,10 @@ from .dynamics import (
     build_witness,
     verify_witness,
 )
-from .group import CompactSet, GroupError, GroupModel, row_index
+from .group import CompactSet, GroupError, GroupModel, row_index, unit_entries
 from .orlicz import OrliczVector
-from .translation import Weight, WeightError
-from .young import YoungFunction, YoungFunctionError, young_from_config
+from .translation import ClampExpWeight, ConstantWeight, TableWeight, WeightError
+from .young import CustomYoung, PowerLogYoung, PowerYoung, YoungFunctionError
 
 MODES = (
     "disjoint_transitive",
@@ -82,10 +87,11 @@ def parse_config(doc: dict):
     mode = _field(doc, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")
-    model = _field(doc, "group", _group)
-    phi = _field(doc, "young", _young)
+    model = _field(doc, "group", lambda d: _build(d, "group", "kind", GROUPS))
+    phi = _field(doc, "young", lambda d: _build(d, "young", "family", YOUNG))
     a = _field(doc, "a", lambda c: model.element(_coords(c)))
-    weights = _field(doc, "weights", _weights)
+    weights = _field(doc, "weights", lambda ds: tuple(
+        _build(d, f"weights[{i}]", "rule", WEIGHTS) for i, d in enumerate(ds)))
     powers = _field(doc, "powers", lambda rs: tuple(_positive_int(r) for r in rs))
     K = _field(doc, "K", lambda d: _parse_set(model, d))
     epsilon = _field(doc, "epsilon", _number)
@@ -93,18 +99,7 @@ def parse_config(doc: dict):
     t_max = _field(doc, "t_max", _positive_int, default=50, required=False)
     cap = _field(doc, "e_k_deficit_cap", _number, default=0.0, required=False)
     try:
-        scenario = Scenario(
-            model=model,
-            phi=phi,
-            a=a,
-            weights=weights,
-            powers=powers,
-            K=K,
-            epsilon=epsilon,
-            n_max=n_max,
-            t_max=t_max,
-            e_deficit_cap=cap,
-        )
+        scenario = Scenario(model, phi, a, weights, powers, K, epsilon, n_max, t_max, cap)
     except dynamics.ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
     witness_opts = _parse_witness(doc, scenario) if mode == "witness" else None
@@ -147,52 +142,49 @@ def _nonnegative_int(value) -> int:
     return _int_at_least(value, 0)
 
 
-def _group(doc) -> GroupModel:
+def _samples(value) -> list:
+    """A custom Young grid: a list of [number, number] pairs."""
+    if not isinstance(value, list) or not all(isinstance(s, list) and len(s) == 2 for s in value):
+        raise ValueError(f"expected a list of [number, number] pairs, got {value!r}")
+    return [(_number(t), _number(y)) for t, y in value]
+
+
+# kind, family or rule -> (constructor, {keyword: caster of the field of that name})
+GROUPS = {
+    "int_line": (GroupModel.int_line, {}),
+    "int_lattice": (GroupModel.int_lattice, {"d": _positive_int}),
+    "heisenberg_int": (GroupModel.heisenberg_int, {}),
+    "lattice_line": (GroupModel.lattice_line, {"h": _number}),
+    "heisenberg_lattice": (GroupModel.heisenberg_lattice, {"h": _number}),
+}
+YOUNG = {
+    "power": (PowerYoung, {"p": _number}),
+    "powerlog": (PowerLogYoung, {"alpha": _number}),
+    "custom": (CustomYoung, {"samples": _samples}),
+}
+WEIGHTS = {
+    "constant": (ConstantWeight, {"c": _number}),
+    "clamp_exp": (
+        ClampExpWeight,
+        {"base": _number, "coord": _nonnegative_int, "lo": _number, "hi": _number},
+    ),
+    "table": (
+        lambda entries, default: TableWeight.from_arrays(*entries, default),
+        {"entries": unit_entries, "default": _number},
+    ),
+}
+
+
+def _build(doc, name: str, tag: str, schema: dict):
+    """The object that the document ``name`` describes: its field ``tag``
+    picks a row of ``schema``, whose casters read the constructor's
+    keyword arguments."""
     doc = _object(doc)
-    if doc.get("kind") == "int_lattice":
-        _field(doc, "group.d", _positive_int)
-    if doc.get("kind") in ("lattice_line", "heisenberg_lattice"):
-        _field(doc, "group.h", _number)
-    return GroupModel.from_config(doc)
-
-
-def _young(doc) -> YoungFunction:
-    doc = _object(doc)
-    key = {"power": "p", "powerlog": "alpha"}.get(doc.get("family"))
-    if key:
-        _field(doc, f"young.{key}", _number)
-    return young_from_config(doc)
-
-
-def _table_entries(entries) -> None:
-    """[[key, value], ...] of a weight table or a vector: distinct keys
-    that are lists of integers, and values that are numbers."""
-    keys = []
-    for key, value in entries:
-        if not isinstance(key, list) or not all(
-            isinstance(u, int) and not isinstance(u, bool) for u in key
-        ):
-            raise ValueError(f"key {key!r} must be a list of integers")
-        _number(value)
-        keys.append(tuple(key))
-    if len(set(keys)) < len(keys):
-        raise ValueError("keys must be distinct")
-
-
-def _weights(docs) -> tuple:
-    numbers = {"constant": ("c",), "clamp_exp": ("base", "lo", "hi"), "table": ("default",)}
-    out = []
-    for i, doc in enumerate(docs):
-        doc = _object(doc)
-        rule = doc.get("rule")
-        for key in numbers.get(rule, ()):
-            _field(doc, f"weights[{i}].{key}", _number)
-        if rule == "clamp_exp":
-            _field(doc, f"weights[{i}].coord", _nonnegative_int)
-        if rule == "table":
-            _field(doc, f"weights[{i}].entries", _table_entries)
-        out.append(Weight.from_config(doc))
-    return tuple(out)
+    choice = _field(doc, f"{name}.{tag}", str)
+    if choice not in schema:
+        raise ConfigError(f"field '{name}.{tag}' must be one of {tuple(schema)}, got {choice!r}")
+    make, casters = schema[choice]
+    return make(**{key: _field(doc, f"{name}.{key}", cast) for key, cast in casters.items()})
 
 
 def _parse_witness(doc: dict, scenario: Scenario) -> dict:
@@ -202,8 +194,7 @@ def _parse_witness(doc: dict, scenario: Scenario) -> dict:
     model, K, L = scenario.model, scenario.K, scenario.L
 
     def vector(entries):
-        _table_entries(entries)
-        v = OrliczVector.from_json_entries(model, entries)
+        v = OrliczVector.from_arrays(model, *unit_entries(entries, model.dim))
         if (row_index(v.units, K.units) < 0).any():
             raise ValueError("support escapes K")
         return v

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +58,7 @@ from .group import (
     CompactSet,
     GroupElement,
     GroupModel,
+    _h_fraction,
     aperiodicity_bound,
     row_index,
 )
@@ -70,7 +70,6 @@ VERDICT_VERIFIED = "verified"
 VERDICT_NOT_VERIFIED = "not_verified_within_bound"
 VERDICT_REFUSED = "refused"
 
-_COUNTING_KINDS = {"int_line", "int_lattice", "heisenberg_int"}
 _TAIL_RATIO_CAP = 0.99
 _MAX_TABLE_CELLS = 5 * 10**7
 
@@ -138,7 +137,7 @@ class Scenario:
             raise ScenarioError("n_max and t_max must be >= 1")
         if self.e_deficit_cap < 0:
             raise ScenarioError("deficit cap must be nonnegative")
-        if self.e_deficit_cap > 0 and self.model.kind in _COUNTING_KINDS:
+        if self.e_deficit_cap > 0 and not self.model.is_lattice:
             raise ScenarioError(
                 "counting-measure models always use E_n = K; deficit cap must be 0"
             )
@@ -150,8 +149,7 @@ class Scenario:
             except Exception as exc:
                 raise ScenarioError(f"weight {i} cannot be evaluated: {exc}") from exc
         if self.model.kind == "heisenberg_lattice":
-            tw = self.a.units[1] * Fraction(self.model.h).limit_denominator(10**12)
-            if tw.denominator != 1:
+            if (self.a.units[1] * _h_fraction(self.model.h)).denominator != 1:
                 raise ScenarioError(
                     "heisenberg lattice: a's y-coordinate times h must be an integer "
                     "so orbit products stay on the lattice"

@@ -31,6 +31,7 @@ translate misses K, and the certificate is the one a scan to n_max gives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,9 +74,9 @@ class GroupModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise GroupError(f"unknown group kind: {self.kind!r}")
-        if self.kind in _LATTICE_KINDS and not (self.h > 0):
+        if self.is_lattice and not (self.h > 0):
             raise GroupError("cell width h must be positive")
-        if self.kind not in _LATTICE_KINDS and self.h != 1.0:
+        if not self.is_lattice and self.h != 1.0:
             raise GroupError("counting-measure kinds have h = 1")
 
     @classmethod
@@ -100,24 +101,13 @@ class GroupModel:
     def heisenberg_lattice(cls, h: float) -> "GroupModel":
         return cls("heisenberg_lattice", 3, h)
 
-    @classmethod
-    def from_config(cls, doc: dict) -> "GroupModel":
-        kind = doc.get("kind")
-        if kind == "int_line":
-            return cls.int_line()
-        if kind == "int_lattice":
-            return cls.int_lattice(int(doc["d"]))
-        if kind == "heisenberg_int":
-            return cls.heisenberg_int()
-        if kind == "lattice_line":
-            return cls.lattice_line(float(doc["h"]))
-        if kind == "heisenberg_lattice":
-            return cls.heisenberg_lattice(float(doc["h"]))
-        raise GroupError(f"unknown group kind: {kind!r}")
-
     @property
     def is_heisenberg(self) -> bool:
         return self.kind in _HEISENBERG_KINDS
+
+    @property
+    def is_lattice(self) -> bool:
+        return self.kind in _LATTICE_KINDS
 
     @property
     def haar_cell_mass(self) -> float:
@@ -154,13 +144,8 @@ class GroupModel:
         return int(tw)
 
     def units_array(self, elements) -> np.ndarray:
-        """(N, d) units of the elements, in iteration order: int64, or exact
-        Python ints when some coordinate does not fit in int64."""
-        rows = [e.units for e in elements]
-        try:
-            return np.array(rows, dtype=np.int64).reshape(len(rows), self.dim)
-        except OverflowError:
-            return np.array(rows, dtype=object).reshape(len(rows), self.dim)
+        """(N, d) units of the elements, in iteration order (``unit_rows``)."""
+        return unit_rows([e.units for e in elements], self.dim)
 
     def elements(self, units) -> list:
         """The elements of the rows of an (N, d) units array, in row order."""
@@ -220,11 +205,45 @@ class GroupModel:
             self._twist_units((int(x0[0]) + b.units[0],), b.units)
 
 
+def unit_rows(rows, dim: int) -> np.ndarray:
+    """(N, dim) array of integer unit rows: int64, or exact Python ints
+    when some unit does not fit in int64."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), dim)
+
+
+def unit_entries(entries, dim: int | None = None):
+    """(units, values) of [key, value] pairs, sorted by key: ``unit_rows``
+    of distinct lists or tuples of integers of one length (``dim`` if
+    given), and float64 values of numbers.  Booleans are refused."""
+    keys, values = [], []
+    for key, value in entries:
+        if not (isinstance(key, (list, tuple)) and key and all(
+            type(u) is int or (isinstance(u, numbers.Integral) and not isinstance(u, bool))
+            for u in key
+        )):
+            raise GroupError(f"key {key!r} must be a nonempty list of integers")
+        dim = len(key) if dim is None else dim
+        if len(key) != dim:
+            raise GroupError(f"key {key!r} must have {dim} coordinates")
+        if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+            raise GroupError(f"value {value!r} at key {key!r} must be a number")
+        keys.append(key)
+        values.append(value)
+    units = unit_rows(keys, dim or 0)
+    order, new = sorted_rows(units)
+    if not new.all():
+        raise GroupError("keys must be distinct")
+    return units[order], np.array(values, dtype=np.float64)[order]
+
+
 def sorted_rows(units: np.ndarray):
     """(order, new): the stable lexicographic order of the rows of an
     (N, d) units array, and which rows of ``units[order]`` differ from the
     row before them.  Exact for int64 and Python-int arrays alike."""
-    order = np.lexsort(units.T[::-1])
+    order = np.lexsort(units.T[::-1]) if len(units) else np.zeros(0, dtype=np.int64)
     ranked = units[order]
     new = np.ones(len(units), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -295,19 +314,23 @@ class GroupElement:
 @dataclass(frozen=True, eq=False)
 class CompactSet:
     """Finite set of group elements: its distinct unit rows in lexicographic
-    order, as one (N, d) array.  Haar mass is exact."""
+    order, as one (N, d) array.  Haar mass is exact.  The constructor puts
+    any (N, d) units array in that form."""
 
     model: GroupModel
     units: np.ndarray
+
+    def __post_init__(self):
+        units = np.asarray(self.units)
+        order, new = sorted_rows(units)
+        object.__setattr__(self, "units", units[order[new]])
 
     @classmethod
     def from_elements(cls, model: GroupModel, elements) -> "CompactSet":
         elems = list(elements)
         if any(e.model != model for e in elems):
             raise ModelMismatchError("set element from a different model")
-        units = model.units_array(elems)
-        order, new = sorted_rows(units)
-        return cls(model, units[order[new]])
+        return cls(model, model.units_array(elems))
 
     @classmethod
     def box(cls, model: GroupModel, lo, hi) -> "CompactSet":

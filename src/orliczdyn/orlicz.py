@@ -194,10 +194,6 @@ class OrliczVector:
         """[[units..., value], ...] sorted by coordinates."""
         return [[u, v] for u, v in zip(self.units.tolist(), self.values.tolist())]
 
-    @classmethod
-    def from_json_entries(cls, model: GroupModel, entries) -> "OrliczVector":
-        return cls(model, [(model.element_units(e[0]), float(e[1])) for e in entries])
-
 
 def indicator(K: CompactSet) -> OrliczVector:
     return OrliczVector.indicator(K)

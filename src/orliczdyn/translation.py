@@ -14,6 +14,7 @@ for the log-weights along whole orbits, from which the checkers build
 their cumulative log-cocycle tables (``dynamics._log_tables``).  The
 clamp-exponential rule reads its orbit logs from the
 ``_accel.clampexp_orbit_logs`` kernel; the constant rule fills them.
+A table weight holds its keys as sorted unit rows, like ``CompactSet``.
 
 ``cocycle_fwd`` and ``cocycle_bwd`` are the scalar oracle for those
 tables: one group product and one weight call per step, switching to
@@ -33,8 +34,8 @@ running values, so memory does not grow with n.
 
 from __future__ import annotations
 
+import bisect
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,12 @@ from .group import (
     CompactSet,
     EmptySetError,
     GroupElement,
+    GroupError,
     GroupModel,
     ModelMismatchError,
     row_index,
+    sorted_rows,
+    unit_entries,
 )
 from .orlicz import OrliczVector
 
@@ -73,13 +77,10 @@ class Weight:
 
     def orbit_logs(self, model: GroupModel, units: np.ndarray, step, js) -> np.ndarray:
         """(N, J) log-weights at units[i] * step^js[j], bit for bit
-        ``log_value``, in blocks of ORBIT_BLOCK_CELLS points."""
-        out = np.empty((len(units), len(js)))
-        block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
-        for c in range(0, len(js), block):
-            pts = model.orbit_units(units, step, js[c : c + block]).reshape(-1, model.dim)
-            out[:, c : c + block] = log_values(self.on_units(model, pts)).reshape(len(units), -1)
-        return out
+        ``log_value``, from one ``on_units`` call over all N * J points
+        (``dynamics._log_tables`` asks for at most ORBIT_BLOCK_CELLS)."""
+        pts = model.orbit_units(units, step, js).reshape(-1, model.dim)
+        return log_values(self.on_units(model, pts)).reshape(len(units), len(js))
 
     def sup_bound(self) -> float:
         """Global upper bound for w (finite by construction)."""
@@ -88,23 +89,6 @@ class Weight:
     def inf_bound(self) -> float:
         """Global lower bound for w (positive by construction)."""
         raise NotImplementedError
-
-    @staticmethod
-    def from_config(doc: dict) -> "Weight":
-        rule = doc.get("rule")
-        if rule == "constant":
-            return ConstantWeight(float(doc["c"]))
-        if rule == "clamp_exp":
-            return ClampExpWeight(
-                base=float(doc["base"]),
-                coord=int(doc["coord"]),
-                lo=float(doc["lo"]),
-                hi=float(doc["hi"]),
-            )
-        if rule == "table":
-            table = {tuple(k): float(v) for k, v in doc["entries"]}
-            return TableWeight(table, default=float(doc["default"]))
-        raise WeightError(f"unknown weight rule: {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -186,49 +170,68 @@ class ClampExpWeight(Weight):
 
 
 class TableWeight(Weight):
-    """Finite lookup table keyed by lattice units, with a default value."""
+    """Finite lookup table keyed by lattice units, with a default value:
+    distinct (N, d) unit rows ``units`` in lexicographic order beside their
+    float64 ``values``; ``_rows`` lists the rows for ``__call__``'s bisection.
+    """
 
-    def __init__(self, table: dict, default: float):
+    def __init__(self, table, default: float):
+        """The table of a dict or of (key, value) pairs, each key a tuple
+        of integer lattice units."""
+        try:
+            units, values = unit_entries(table.items() if isinstance(table, dict) else table)
+        except GroupError as exc:
+            raise WeightError(f"table {exc}") from exc
+        self._set(units, values, default)
+
+    @classmethod
+    def from_arrays(cls, units, values, default: float) -> "TableWeight":
+        """values[i] at row i of an (N, d) units array of distinct rows."""
+        out = cls.__new__(cls)
+        out._set(np.asarray(units), np.asarray(values, dtype=np.float64), default)
+        return out
+
+    def _set(self, units, values, default):
         if not (default > 0 and math.isfinite(default)):
             raise WeightError("table default must be positive and finite")
-        for k, v in table.items():
-            if not all(isinstance(u, numbers.Integral) and not isinstance(u, bool) for u in k):
-                raise WeightError(f"table key {k} must be a tuple of integer lattice units")
-            if not (v > 0 and math.isfinite(v)):
-                raise WeightError(f"table value at {k} must be positive and finite")
-        self.table = dict(table)
+        bad = np.flatnonzero(~((values > 0) & np.isfinite(values)))
+        if bad.size:
+            raise WeightError(f"table value at {units[bad[0]].tolist()} must be positive and finite")
+        order, new = sorted_rows(units)
+        if not new.all():
+            raise WeightError("table keys must be distinct")
+        self.units, self.values = units[order], values[order]
         self.default = float(default)
+        self._rows = self.units.tolist()
+
+    def _check_dim(self, dim: int):
+        if len(self.units) and self.units.shape[1] != dim:
+            raise WeightError(f"table keys have {self.units.shape[1]} coordinates, the model {dim}")
 
     def __call__(self, x: GroupElement) -> float:
-        return self.table.get(x.units, self.default)
+        self._check_dim(len(x.units))
+        key = list(x.units)
+        i = bisect.bisect_left(self._rows, key)
+        return float(self.values[i]) if self._rows[i : i + 1] == [key] else self.default
 
     def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
-        exact = units.dtype == object
-        entries = [
-            (k, v)
-            for k, v in self.table.items()
-            if len(k) == model.dim and (exact or all(-(2**63) <= u < 2**63 for u in k))
-        ]
-        keys = np.array([k for k, _ in entries], dtype=units.dtype).reshape(-1, model.dim)
+        self._check_dim(model.dim)
         # row_index gives -1 off the table, which picks the appended default
-        values = np.array([v for _, v in entries] + [self.default], dtype=np.float64)
-        return values[row_index(units, keys)]
+        return np.append(self.values, self.default)[row_index(units, self.units)]
 
     def sup_bound(self) -> float:
-        return max([self.default, *self.table.values()])
+        return float(self.values.max(initial=self.default))
 
     def inf_bound(self) -> float:
-        return min([self.default, *self.table.values()])
+        return float(self.values.min(initial=self.default))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TableWeight)
-            and self.table == other.table
-            and self.default == other.default
+        return isinstance(other, TableWeight) and self.default == other.default and (
+            np.array_equal(self.units, other.units) and np.array_equal(self.values, other.values)
         )
 
     def __repr__(self) -> str:
-        return f"TableWeight({len(self.table)} entries, default={self.default})"
+        return f"TableWeight({len(self.values)} entries, default={self.default})"
 
 
 @dataclass(frozen=True)

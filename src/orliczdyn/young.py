@@ -275,15 +275,3 @@ class CustomYoung(YoungFunction):
         if np.any(np.isinf(out)):
             raise OutOfGridError(f"argument beyond the sampled grid (t_max={self.t_max})")
         return out
-
-
-def young_from_config(doc: dict) -> YoungFunction:
-    """Build a Young function from {"family": ..., ...}."""
-    family = doc.get("family")
-    if family == "power":
-        return PowerYoung(p=float(doc["p"]))
-    if family == "powerlog":
-        return PowerLogYoung(alpha=float(doc["alpha"]))
-    if family == "custom":
-        return CustomYoung(doc["samples"])
-    raise InvalidParameterError(f"unknown young family: {family!r}")

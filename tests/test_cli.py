@@ -1,10 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
-from orliczdyn.cli import main
+from orliczdyn.cli import main, parse_config
+from orliczdyn.group import GroupModel
+from orliczdyn.orlicz import OrliczVector
+from orliczdyn.translation import ClampExpWeight, ConstantWeight, TableWeight
+from orliczdyn.young import CustomYoung, PowerLogYoung, PowerYoung
 
 STEP_W = {"rule": "clamp_exp", "base": 2.0, "coord": 0, "lo": -1.0, "hi": 1.0}
+SAMPLES_TEXT = [["0", "0"], [True, "1"], [2, 4]]
 HEIS_W = {"rule": "clamp_exp", "base": 2.0, "coord": 2, "lo": -1.0, "hi": 1.0}
 
 
@@ -259,6 +265,12 @@ class TestCheck:
             ({"K": {"box": {"lo": ["-3"], "hi": [3]}}}, "'K.box.lo'"),
             ({"K": {"box": {"lo": [-3]}}}, "'K.box.hi'"),
             ({"K": {"box": [[-3], [3]]}}, "'K.box'"),
+            ({"young": {"family": "custom", "samples": SAMPLES_TEXT}}, "'young.samples'"),
+            ({"young": {"family": "custom", "samples": [[0, 0], [1, 1, 1]]}}, "'young.samples'"),
+            ({"young": {"family": "custom", "samples": {"0": 0}}}, "'young.samples'"),
+            ({"group": {"kind": "free_group"}}, "'group.kind'"),
+            ({"young": {"family": "exp"}}, "'young.family'"),
+            ({"weights": [STEP_W, {"rule": "gauss"}]}, "'weights[1].rule'"),
         ],
         ids=[
             "epsilon_bool",
@@ -286,6 +298,12 @@ class TestCheck:
             "box_lo_text",
             "box_hi_missing",
             "box_not_object",
+            "samples_text_and_bool",
+            "samples_not_pairs",
+            "samples_not_list",
+            "group_kind_unknown",
+            "young_family_unknown",
+            "weight_rule_unknown",
         ],
     )
     def test_number_fields_exit_1(self, tmp_path, capsys, overrides, field):
@@ -313,14 +331,34 @@ class TestCheck:
             [[[1], 0.5], [[1], 0.25]],
             [[["1"], 0.5]],
             [[1, 0.5]],
+            [[[1], 0.5], [[1, 0], 0.25]],
         ],
-        ids=["fraction", "bool", "float_twin", "bool_twin", "duplicate", "text", "not_a_list"],
+        ids=[
+            "fraction",
+            "bool",
+            "float_twin",
+            "bool_twin",
+            "duplicate",
+            "text",
+            "not_a_list",
+            "mixed_lengths",
+        ],
     )
     def test_table_keys_exit_1(self, tmp_path, capsys, entries):
         table = {"rule": "table", "entries": entries, "default": 2.0}
         code, out = run_cli(tmp_path, z_config(weights=[STEP_W, table]))
         assert code == 1
         assert "'weights[1].entries'" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_table_keys_off_the_model_dimension_exit_1(self, tmp_path, capsys):
+        # keys [0] and [1] never match a point of Z^2, yet would set sup w = 3
+        table = {"rule": "table", "entries": [[[0], 3.0], [[1], 3.0]], "default": 2.0}
+        doc = z_config(group={"kind": "int_lattice", "d": 2}, a=[1, 0], weights=[table],
+                       powers=[1], K={"box": {"lo": [-1, -1], "hi": [1, 1]}})
+        code, out = run_cli(tmp_path, doc)
+        assert code == 1
+        assert "weight 1 cannot be evaluated" in capsys.readouterr().out
         assert not out.exists()
 
     def test_bad_config_does_not_sink_batch(self, tmp_path, capsys):
@@ -358,6 +396,58 @@ class TestCheck:
         assert code == 3  # worst verdict wins
         assert (out / "one" / "report.json").exists()
         assert (out / "two" / "report.json").exists()
+
+
+def parsed(**overrides):
+    """The scenario that parse_config builds from a z_config document."""
+    return parse_config(z_config(**overrides))[1]
+
+
+class TestSchema:
+    """Each group kind, Young family and weight rule of a document builds
+    the object its direct constructor call gives."""
+
+    def test_group_kinds(self):
+        for group, model in [
+            ({"kind": "int_line"}, GroupModel.int_line()),
+            ({"kind": "int_lattice", "d": 2}, GroupModel.int_lattice(2)),
+            ({"kind": "heisenberg_int"}, GroupModel.heisenberg_int()),
+            ({"kind": "lattice_line", "h": 0.5}, GroupModel.lattice_line(0.5)),
+            ({"kind": "heisenberg_lattice", "h": 0.5}, GroupModel.heisenberg_lattice(0.5)),
+        ]:
+            dim = model.dim
+            scenario = parsed(group=group, a=[1] + [0] * (dim - 1),
+                              K={"box": {"lo": [-1] * dim, "hi": [1] * dim}})
+            assert scenario.model == model
+
+    def test_young_families(self):
+        assert parsed(young={"family": "power", "p": 3}).phi == PowerYoung(3.0)
+        assert parsed(young={"family": "powerlog", "alpha": 2.5}).phi == PowerLogYoung(2.5)
+        samples = [[0, 0], [1.0, 1], [2, 4.0]]
+        phi = parsed(young={"family": "custom", "samples": samples}).phi
+        want = CustomYoung(samples)
+        assert type(phi) is CustomYoung
+        assert np.array_equal(phi.grid_t, want.grid_t) and np.array_equal(phi.grid_y, want.grid_y)
+
+    def test_weight_rules(self):
+        table = {"rule": "table", "entries": [[[2], 0.5], [[-1], 4]], "default": 2}
+        weights = parsed(weights=[{"rule": "constant", "c": 2}, STEP_W, table],
+                         powers=[1, 2, 3]).weights
+        assert weights == (
+            ConstantWeight(2.0),
+            ClampExpWeight(base=2.0, coord=0, lo=-1.0, hi=1.0),
+            TableWeight({(2,): 0.5, (-1,): 4.0}, default=2.0),
+        )
+
+    def test_witness_vectors(self):
+        entries = [[[0], 1.0], [[-2], 0.125]]
+        doc = z_config(mode="witness", K={"box": {"lo": [-3], "hi": [3]}},
+                       witness={"f": entries, "targets": [entries, []]})
+        _, scenario, opts = parse_config(doc)
+        model = scenario.model
+        f = OrliczVector(model, {model.element([-2]): 0.125, model.element([0]): 1.0})
+        assert opts["f"] == f and opts["targets"] == [f, OrliczVector.zero(model)]
+        assert opts["f"].to_json_entries() == sorted(entries)
 
 
 class TestTrace:

@@ -23,6 +23,7 @@ from orliczdyn.group import (
     haar,
     row_index,
 )
+from orliczdyn.orlicz import OrliczVector
 
 HEIS = GroupModel.heisenberg_int()
 ZLINE = GroupModel.int_line()
@@ -180,6 +181,34 @@ class TestCompactSets:
         assert GroupModel.lattice_line(0.5).element([0]) not in K
         assert E.issubset(K) and not K.issubset(E)
         assert CompactSet.from_elements(ZLINE, []).issubset(E)
+
+    def test_constructor_sorts_and_drops_repeats(self):
+        K = CompactSet(ZLINE, np.array([[1], [1], [0]]))
+        assert len(K) == 2 and K.measure == 2.0
+        assert K.units.tolist() == [[0], [1]]
+        assert OrliczVector.indicator(K).value(ZLINE.element([1])) == 1.0
+
+    def test_unit_entries(self):
+        units, values = group.unit_entries([[[2, 0], 1], [(-1, 5), 0.5]])
+        assert units.tolist() == [[-1, 5], [2, 0]] and units.dtype == np.int64
+        assert values.tolist() == [0.5, 1.0] and values.dtype == np.float64
+        big = 2**70
+        units, _ = group.unit_entries({(big,): 2.0, (0,): 1.0}.items(), dim=1)
+        assert units.dtype == object and units.tolist() == [[0], [big]]
+        assert group.unit_entries([], dim=3)[0].shape == (0, 3)
+        for entries, dim in [
+            ([[[0], 1.0], [[0, 1], 1.0]], None),  # mixed key lengths
+            ([[[0], 1.0]], 2),  # not the model's dimension
+            ([[[0], 1.0], [[0], 2.0]], None),  # repeated key
+            ([[[], 1.0]], None),
+            ([[[np.float64(1.0)], 1.0]], None),
+            ([[[0], "1"]], None),
+            ([[[0], False]], None),
+        ]:
+            with pytest.raises(GroupError):
+                group.unit_entries(entries, dim)
+
+
 
 
 class TestAperiodicity:
@@ -353,17 +382,6 @@ class TestRowIndex:
         keys = np.array([[big, 1], [0, 0]], dtype=object)
         rows = np.array([[big, 1], [big + 1, 1], [0, 0], [big, 0]], dtype=object)
         assert row_index(rows, keys).tolist() == [0, -1, 1, -1]
-
-
-class TestConfig:
-    def test_from_config(self):
-        assert GroupModel.from_config({"kind": "heisenberg_int"}) == HEIS
-        assert GroupModel.from_config({"kind": "int_lattice", "d": 2}).dim == 2
-        assert GroupModel.from_config({"kind": "lattice_line", "h": 0.5}).h == 0.5
-
-    def test_bad_kind(self):
-        with pytest.raises(GroupError):
-            GroupModel.from_config({"kind": "free_group"})
 
 
 HASH_SEED_PROBE = """

@@ -10,7 +10,6 @@ from orliczdyn.translation import (
     ClampExpWeight,
     ConstantWeight,
     TableWeight,
-    Weight,
     WeightedTranslation,
     WeightError,
     sup_abs_on,
@@ -60,20 +59,37 @@ class TestWeights:
             TableWeight({(0.5,): 2.0}, default=1.0)  # keys are integer lattice units
         with pytest.raises(WeightError):
             TableWeight({(True,): 2.0}, default=1.0)
+        with pytest.raises(WeightError):
+            TableWeight({(0,): True}, 2.0)  # values are numbers, not booleans
+        with pytest.raises(WeightError):
+            TableWeight({(0,): 1.0, (0, 1): 2.0}, 2.0)  # keys of one length
+
+    def test_table_rows(self):
+        w = TableWeight([((2,), 0.5), ((-1,), 4.0)], default=1.5)
+        assert w.units.tolist() == [[-1], [2]] and w.values.tolist() == [4.0, 0.5]
+        assert w == TableWeight.from_arrays(np.array([[2], [-1]]), [0.5, 4.0], 1.5)
+        assert w != TableWeight({(2,): 0.5}, default=1.5)
+        assert repr(w) == "TableWeight(2 entries, default=1.5)"
+        units = np.array([[-1], [0], [2], [2**70]], dtype=object)
+        assert w.on_units(ZLINE, units).tolist() == [4.0, 1.5, 0.5, 1.5]
+        with pytest.raises(WeightError):
+            TableWeight.from_arrays(np.array([[1], [1]]), [2.0, 2.0], 1.5)
+        empty = TableWeight({}, default=2.0)
+        assert empty(HEIS.identity()) == 2.0 and empty.sup_bound() == 2.0
+
+    def test_table_keys_off_the_model_dimension(self):
+        # unreachable keys would set sup_bound, which the sup w <= 1 refusal reads
+        w = TableWeight({(0,): 3.0, (1,): 3.0}, default=2.0)
+        plane = GroupModel.int_lattice(2)
+        with pytest.raises(WeightError):
+            w(plane.identity())
+        with pytest.raises(WeightError):
+            w.on_units(plane, np.zeros((1, 2), dtype=np.int64))
 
     def test_lattice_uses_real_coordinates(self):
         m = GroupModel.lattice_line(0.5)
         w = ClampExpWeight(base=2.0, coord=0, lo=-1.0, hi=1.0)
         assert w(m.element([0.5])) == 2.0**-0.5
-
-    def test_from_config(self):
-        w = Weight.from_config({"rule": "clamp_exp", "base": 2.0, "coord": 2, "lo": -1.0, "hi": 1.0})
-        assert w == HSTEP
-        assert Weight.from_config({"rule": "constant", "c": 2.0}) == ConstantWeight(2.0)
-        t = Weight.from_config({"rule": "table", "entries": [[[0], 0.5]], "default": 2.0})
-        assert t(ZLINE.element([0])) == 0.5
-        with pytest.raises(WeightError):  # no silent int(1.7) == 1
-            Weight.from_config({"rule": "table", "entries": [[[1.7], 0.5]], "default": 2.0})
 
 
 class TestOperator:

@@ -11,7 +11,6 @@ from orliczdyn.young import (
     PowerLogYoung,
     PowerYoung,
     UnboundedInverseError,
-    young_from_config,
 )
 
 
@@ -183,16 +182,3 @@ class TestDelta2:
         rep = PowerYoung(2.0).delta2_report(5.0, 5.0, 100)
         assert rep.empty_range
 
-
-class TestConfig:
-    def test_round_trip(self):
-        phi = young_from_config({"family": "power", "p": 2.0})
-        assert isinstance(phi, PowerYoung) and phi.p == 2.0
-        phi = young_from_config({"family": "powerlog", "alpha": 2.0})
-        assert isinstance(phi, PowerLogYoung)
-        phi = young_from_config({"family": "custom", "samples": [[0.0, 0.0], [1.0, 1.0], [2.0, 4.0]]})
-        assert isinstance(phi, CustomYoung)
-
-    def test_unknown_family(self):
-        with pytest.raises(InvalidParameterError):
-            young_from_config({"family": "exp"})

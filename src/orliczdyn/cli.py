@@ -10,7 +10,8 @@ and ``WEIGHTS`` map each group kind, Young family and weight rule to its
 constructor and the casters of its fields.  A malformed field exits 1
 with a message that names it (``weights[1].entries``, ``young.p``).
 
-``orliczdyn trace`` writes only the per-n trace CSV.
+``orliczdyn trace`` is ``orliczdyn check --format csv``: it writes only
+the per-n trace CSV.
 
 The configs of one call run on a thread pool of one worker per CPU, at
 most one per config.
@@ -84,6 +85,8 @@ def _parse_set(model: GroupModel, doc) -> CompactSet:
 
 def parse_config(doc: dict):
     """Returns (mode, Scenario, witness options or None)."""
+    if not isinstance(doc, dict):
+        raise ConfigError("scenario document must be a JSON object")
     mode = _field(doc, "mode", str)
     if mode not in MODES:
         raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")
@@ -184,7 +187,11 @@ def _build(doc, name: str, tag: str, schema: dict):
     if choice not in schema:
         raise ConfigError(f"field '{name}.{tag}' must be one of {tuple(schema)}, got {choice!r}")
     make, casters = schema[choice]
-    return make(**{key: _field(doc, f"{name}.{key}", cast) for key, cast in casters.items()})
+    kwargs = {key: _field(doc, f"{name}.{key}", cast) for key, cast in casters.items()}
+    try:
+        return make(**kwargs)
+    except Exception as exc:
+        raise ConfigError(f"field '{name}' is invalid: {exc}") from exc
 
 
 def _parse_witness(doc: dict, scenario: Scenario) -> dict:
@@ -218,20 +225,13 @@ def _parse_witness(doc: dict, scenario: Scenario) -> dict:
 
 
 def run_scenario(mode: str, scenario: Scenario, witness_opts, override: bool):
-    """Dispatch one checker; returns (report, extra json fields)."""
+    """Run the checker ``dynamics.check_<mode>``, looked up at call time
+    (``witness`` runs ``check_disjoint_transitive`` and then builds its
+    vector); returns (report, extra json fields)."""
     extra = {}
-    if mode == "disjoint_transitive":
-        report = dynamics.check_disjoint_transitive(scenario, override=override)
-    elif mode == "same_weight":
-        report = dynamics.check_same_weight(scenario, override=override)
-    elif mode == "disjoint_mixing":
-        report = dynamics.check_disjoint_mixing(scenario, override=override)
-    elif mode == "chaotic":
-        report = dynamics.check_chaotic(scenario, op_index=0, override=override)
-    elif mode == "disjoint_chaotic":
-        report = dynamics.check_disjoint_chaotic(scenario, override=override)
-    elif mode == "witness":
-        report = dynamics.check_disjoint_transitive(scenario, override=override)
+    checker = "disjoint_transitive" if mode == "witness" else mode
+    report = getattr(dynamics, "check_" + checker)(scenario, override=override)
+    if mode == "witness":
         n = witness_opts["n"] or report.n_star
         if n is not None:
             f, targets = witness_opts["f"], witness_opts["targets"]
@@ -243,8 +243,6 @@ def run_scenario(mode: str, scenario: Scenario, witness_opts, override: bool):
                 "rho_l": rhos,
                 "vector": v.to_json_entries(),
             }
-    else:  # pragma: no cover - guarded by parse_config
-        raise ConfigError(f"unhandled mode {mode!r}")
     return report, extra
 
 
@@ -260,7 +258,7 @@ def _write_outputs(outdir: Path, report: ConditionReport, extra: dict, formats):
         (outdir / "trace.csv").write_text(report.trace_csv())
 
 
-def _run_one(config_path: Path, outdir: Path, formats, override: bool, trace_only: bool) -> int:
+def _run_one(config_path: Path, outdir: Path, formats, override: bool) -> int:
     try:
         doc = json.loads(config_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -272,10 +270,7 @@ def _run_one(config_path: Path, outdir: Path, formats, override: bool, trace_onl
     except (ConfigError, dynamics.DynamicsError, GroupError, WeightError, YoungFunctionError) as exc:
         print(f"error: {config_path}: {exc}")
         return 1
-    if trace_only:
-        _write_outputs(outdir, report, extra, formats={"csv"})
-    else:
-        _write_outputs(outdir, report, extra, formats=formats)
+    _write_outputs(outdir, report, extra, formats)
     reason = f" reason: {report.reason}" if report.reason else ""
     print(
         f"{report.verdict}: mode={report.mode} n_star={report.n_star}"
@@ -308,7 +303,8 @@ def main(argv=None) -> int:
     if not formats <= {"json", "csv"}:
         print(f"error: field 'format' must be a subset of json,csv, got {args.format!r}")
         return 1
-    trace_only = args.command == "trace"
+    if args.command == "trace":
+        formats = {"csv"}
     configs = list(args.config)
     jobs = []
     for cfg in configs:
@@ -317,7 +313,7 @@ def main(argv=None) -> int:
     with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as pool:
         codes = list(
             pool.map(
-                lambda j: _run_one(j[0], j[1], formats, args.override_diagnostics, trace_only),
+                lambda j: _run_one(j[0], j[1], formats, args.override_diagnostics),
                 jobs,
             )
         )

@@ -39,8 +39,10 @@ The cocycles come from one log-table engine, ``_log_tables``: cumulative
 sums of each weight rule's ``Weight.orbit_logs`` along the orbits of a
 and a^-1, read at n and exponentiated, which keeps long products exact
 to ~1e-13 relative.  The sweep reads them over K, and the epsilon check
-of ``build_periodic_point`` reads them over E at depth t_max * n, so it
-sees the numbers the ``chaotic`` sweep sees.  The scalar
+of ``build_periodic_point`` reads them over E at depth t_max * n through
+the same gather, ``_series_terms``, so it sees the numbers the
+``chaotic`` sweep sees.  Its disjointness test is the aperiodicity scan
+of a^n over E up to 2 t_max, projection cap included.  The scalar
 ``cocycle_fwd``/``cocycle_bwd`` of the operator are the oracle the tests
 hold these tables to.
 """
@@ -135,7 +137,7 @@ class Scenario:
             raise ScenarioError("epsilon must be positive")
         if self.n_max < 1 or self.t_max < 1:
             raise ScenarioError("n_max and t_max must be >= 1")
-        if self.e_deficit_cap < 0:
+        if not self.e_deficit_cap >= 0:  # NaN too
             raise ScenarioError("deficit cap must be nonnegative")
         if self.e_deficit_cap > 0 and not self.model.is_lattice:
             raise ScenarioError(
@@ -366,6 +368,13 @@ def _geometric_tail(terms):
     return certified, np.where(certified & (last > 0), last * rho / (1.0 - rho), 0.0)
 
 
+def _series_terms(fwd, bwd, steps, t_max):
+    """exp of the log tables fwd and -bwd at t * steps, t = 1..t_max (the
+    last axis): the series terms; ``steps`` is one step or an array."""
+    idx = np.multiply.outer(steps, np.arange(1, t_max + 1))
+    return np.exp(fwd[:, idx]), np.exp(-bwd[:, idx])
+
+
 def _series_quantities(tables, l, r_l, n, t_max):
     """(trace, accept) for the chaos series of operator l, at one n or at
     an array of n (then one column per n).
@@ -375,9 +384,7 @@ def _series_quantities(tables, l, r_l, n, t_max):
     understates the slower one.  A point is accepted only when both tails
     are certified.
     """
-    idx = np.multiply.outer(r_l * n, np.arange(1, t_max + 1))
-    fwd = np.exp(tables.fwd[l][:, idx])
-    bwd = np.exp(-tables.bwd[l][:, idx])
+    fwd, bwd = _series_terms(tables.fwd[l], tables.bwd[l], r_l * n, t_max)
     trunc = np.sum(fwd + bwd, axis=-1)
     fwd_ok, fwd_tail = _geometric_tail(fwd)
     bwd_ok, bwd_tail = _geometric_tail(bwd)
@@ -479,7 +486,7 @@ def _sweep(scenario, conditions):
     tables = _OrbitTables(scenario, depths)
     n_pts, n_max = len(scenario.K), scenario.n_max
     mass = scenario.model.haar_cell_mass
-    budget = min(int(math.floor(scenario.e_deficit_cap / mass + 1e-9)), n_pts - 1)
+    budget = int(math.floor(min(scenario.e_deficit_cap / mass + 1e-9, n_pts - 1)))
     width = max((scenario.t_max for c in columns.values() if not c.exact), default=1)
     block = max(1, ORBIT_BLOCK_CELLS // (n_pts * width))
     owned = [{c.name for c in cond.columns} for cond in conditions]
@@ -711,23 +718,24 @@ def build_periodic_point(
     The untruncated series is an exact fixed point of T^n; truncation at
     t_max leaves the residual T^{(t_max+1)n}(f chi_E) - S^{t_max n}(f chi_E),
     whose norm is bounded by the reported tail bound.  The translates
-    E a^{mn} must be pairwise disjoint up to m = t_max; when epsilon is
+    E a^{mn} must be pairwise disjoint for |m| <= t_max; when epsilon is
     given, the cocycle series of f's operator at this n must already be
     below it on E.
     """
     if n < 1 or t_max < 0:
         raise DynamicsError("need n >= 1 and t_max >= 0")
-    if _translates_meet(E, op.a**n, 2 * t_max):
+    b = op.a**n
+    # E meets none of E b^k, 0 < k <= 2 t_max, iff the scan finds no hit
+    if t_max and len(E) and aperiodicity_bound(b, E, 2 * t_max).bound != 0:
         raise DisjointnessViolatedError(
             f"translates of E by powers of a^{n} are not pairwise disjoint"
         )
     model = op.model
     if epsilon is not None and t_max >= 1:
         # the numbers the chaos sweep reads: its tables at depth t_max * n, summed alike
-        fwd, bwd = _log_tables(model, E.units, op.a, op.weight, t_max * n)
-        idx = n * np.arange(1, t_max + 1)
+        tables = _log_tables(model, E.units, op.a, op.weight, t_max * n)
         with np.errstate(over="ignore"):
-            series = np.sum(np.exp(fwd[:, idx]) + np.exp(-bwd[:, idx]), axis=1)
+            series = np.sum(np.add(*_series_terms(*tables, n, t_max)), axis=-1)
         worst = float(np.max(series, initial=0.0))
         if not worst < epsilon:
             raise NotChaoticAtNError(
@@ -750,21 +758,3 @@ def build_periodic_point(
     tail_bound = fwd_beyond.luxemburg_norm(phi) + bwd_last.luxemburg_norm(phi)
     return PeriodicPointResult(point=p, tail_bound=tail_bound, n=n, t_max=t_max)
 
-
-def _translates_meet(E: CompactSet, b: GroupElement, count: int) -> bool:
-    """Whether E meets some E b^k, k = 1..count: one membership test on
-    unit rows per block of translates.
-
-    A walk off the lattice fails at its first step, or at its second when
-    den(b_1 h) divides every x_0 but not b_0; then E cannot meet E b, so
-    the error is the one a scan one translate at a time raises first.
-    """
-    rows = E.units
-    if not len(rows):
-        return False
-    block = max(1, ORBIT_BLOCK_CELLS // len(rows))
-    for k in range(1, count + 1, block):
-        moved = E.model.orbit_units(rows, b, np.arange(k, min(k + block, count + 1)))
-        if (row_index(moved.reshape(-1, E.model.dim), rows) >= 0).any():
-            return True
-    return False

@@ -17,7 +17,7 @@ norm and inverse machinery relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,19 +104,14 @@ class YoungFunction:
         A coarse scan picks the best bracket, then golden-section search
         refines it; the result is within 1e-8 of the supremum whenever it
         is attained below the bracket cap.  Raises ConjugateDivergesError
-        if the objective is still climbing at the cap.  Values are cached
-        per y; recomputation is idempotent, so no locking is needed.
+        if the objective is still climbing at the cap.
         """
-        cached = self._conj_cache.get(y)
-        if cached is not None:
-            return cached
         ay = abs(y)
 
         def g(x: float) -> float:
             return x * ay - self(x)
 
         if ay == 0.0:
-            self._conj_cache[y] = 0.0
             return 0.0
         cap = min(CONJUGATE_BRACKET_CAP, self.t_max)
         hi = min(1.0, cap)
@@ -147,9 +142,7 @@ class YoungFunction:
                 a, c, gc = c, d, gd
                 d = a + invphi * (b - a)
                 gd = g(d)
-        best = max(g(0.5 * (a + b)), gc, gd, float(vals[i]), 0.0)
-        self._conj_cache[y] = best
-        return best
+        return max(g(0.5 * (a + b)), gc, gd, float(vals[i]), 0.0)
 
     def delta2_report(self, t_lo: float, t_hi: float, samples: int = 256) -> Delta2Report:
         """Estimate the doubling constant sup phi(2t)/phi(t) on [t_lo, t_hi].
@@ -182,7 +175,6 @@ class PowerYoung(YoungFunction):
     """phi(t) = |t|**p / p; the Orlicz space is then the Lebesgue L^p space."""
 
     p: float
-    _conj_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.p >= 1.0 and math.isfinite(self.p)):
@@ -205,7 +197,6 @@ class PowerLogYoung(YoungFunction):
     """phi(t) = |t|**alpha * (1 + |log|t||), alpha > 1."""
 
     alpha: float
-    _conj_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.alpha > 1.0 and math.isfinite(self.alpha)):
@@ -258,7 +249,6 @@ class CustomYoung(YoungFunction):
         self.grid_t = ts
         self.grid_y = ys
         self.t_max = float(ts[-1])
-        self._conj_cache: dict = {}
 
     def __call__(self, t: float) -> float:
         u = abs(t)

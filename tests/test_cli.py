@@ -1,8 +1,11 @@
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
 
+from orliczdyn import dynamics
 from orliczdyn.cli import main, parse_config
 from orliczdyn.group import GroupModel
 from orliczdyn.orlicz import OrliczVector
@@ -271,6 +274,10 @@ class TestCheck:
             ({"group": {"kind": "free_group"}}, "'group.kind'"),
             ({"young": {"family": "exp"}}, "'young.family'"),
             ({"weights": [STEP_W, {"rule": "gauss"}]}, "'weights[1].rule'"),
+            ({"weights": [STEP_W, {"rule": "constant", "c": -1.0}]}, "'weights[1]' is invalid"),
+            ({"weights": [STEP_W, dict(STEP_W, lo=1, hi=-1)]}, "'weights[1]' is invalid"),
+            ({"group": {"kind": "lattice_line", "h": -1}}, "'group' is invalid"),
+            ({"young": {"family": "power", "p": 0.5}}, "'young' is invalid"),
         ],
         ids=[
             "epsilon_bool",
@@ -304,6 +311,10 @@ class TestCheck:
             "group_kind_unknown",
             "young_family_unknown",
             "weight_rule_unknown",
+            "constant_refused",
+            "clamp_window_refused",
+            "h_refused",
+            "p_refused",
         ],
     )
     def test_number_fields_exit_1(self, tmp_path, capsys, overrides, field):
@@ -371,6 +382,35 @@ class TestCheck:
         assert json.loads((out / "good" / "report.json").read_text())["verdict"] == "verified"
         assert not (out / "bad").exists()
         assert "'witness.n'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"x"'])
+    def test_document_not_an_object_exit_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "scenario document must be a JSON object" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_document_not_an_object_does_not_sink_batch(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(z_config()))
+        bad = tmp_path / "bad.json"
+        bad.write_text("5")
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(good), str(bad), "--out", str(out)]) == 1
+        assert json.loads((out / "good" / "report.json").read_text())["verdict"] == "verified"
+        lines = capsys.readouterr().out.splitlines()
+        assert any(l.startswith("verified: ") and "config=good.json" in l for l in lines)
+        assert any("bad.json: scenario document must be a JSON object" in l for l in lines)
+
+    def test_deficit_cap_nan_exit_1(self, tmp_path, capsys):
+        doc = z_config(group={"kind": "lattice_line", "h": 0.5}, a=[0.5],
+                       K={"box": {"lo": [-1], "hi": [1]}}, e_k_deficit_cap=math.nan)
+        code, out = run_cli(tmp_path, doc)
+        assert code == 1
+        assert "deficit cap must be nonnegative" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_format_json_only(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -485,6 +525,38 @@ class TestTrace:
         )
         header2 = (out2 / "trace.csv").read_text().split("\n")[0].split(",")
         assert len(header2) == 1 + (2 * L + L * (L - 1) + L) + 1
+
+
+class TestDispatch:
+    def test_checkers_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("check_chaotic", "check_disjoint_transitive"):
+            def wrapper(*args, _inner=getattr(dynamics, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(dynamics, name, wrapper)
+        run_cli(tmp_path, z_config(mode="chaotic", t_max=10), name="chaotic.json")
+        run_cli(tmp_path, z_config(mode="witness"), name="witness.json")
+        assert calls == ["check_chaotic", "check_disjoint_transitive"]
+
+    @pytest.mark.parametrize(
+        "doc,code",
+        [(z_config(), 0), (z_config(a=[0]), 3), (z_config(epsilon=True), 1)],
+        ids=["verified", "refused", "error"],
+    )
+    def test_trace_is_check_with_csv_format(self, tmp_path, capsys, doc, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        runs = []
+        for argv in (["trace"], ["check", "--format", "csv"]):
+            shutil.rmtree(out, ignore_errors=True)
+            got = main([*argv, "--config", str(cfg), "--out", str(out)])
+            csv = (out / "trace.csv").read_bytes() if out.exists() else None
+            runs.append((got, capsys.readouterr().out, csv, sorted(out.glob("*"))))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code and (runs[0][2] is None) == (code == 1)
 
 
 class TestDeterminism:

@@ -472,6 +472,19 @@ class TestEPolicy:
         n, _, deficit = rep.row(rep.n_star)
         assert deficit == pytest.approx(0.25)  # exactly one cell dropped
 
+    def test_cap_nan_refused(self):
+        with pytest.raises(ScenarioError, match="deficit cap"):
+            self.make_scenario(math.nan)
+
+    @pytest.mark.parametrize("cap", [1e308, math.inf])
+    def test_huge_cap_is_the_measure_of_k(self, cap):
+        # cap / cell mass overflows to inf; the budget is all but one cell either way
+        want = check_disjoint_transitive(self.make_scenario(2.25))
+        got = check_disjoint_transitive(self.make_scenario(cap))
+        assert got.verified
+        assert (got.verdict, got.n_star, got.trace_csv()) == (
+            want.verdict, want.n_star, want.trace_csv())
+
     def test_counting_models_reject_cap(self):
         with pytest.raises(ScenarioError):
             Scenario(

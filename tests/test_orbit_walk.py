@@ -16,7 +16,7 @@ from orliczdyn.dynamics import (
     _log_tables,
     build_periodic_point,
 )
-from orliczdyn.group import CompactSet, GroupModel, OffLatticeError
+from orliczdyn.group import CompactSet, GroupError, GroupModel, OffLatticeError
 from orliczdyn.orlicz import OrliczVector, indicator
 from orliczdyn.translation import (
     ClampExpWeight,
@@ -123,6 +123,56 @@ def test_empty_vector():
     E = CompactSet.box(model, [0, 0, 0], [0, 0, 0])
     got = build_periodic_point(op, PHI, zero, E, 2, 3)
     assert got.point.is_zero() and got.tail_bound == 0.0
+
+
+def test_empty_set_gives_the_zero_point():
+    model = GroupModel.heisenberg_int()
+    op = WeightedTranslation(model, model.element([1, 0, 2]), ConstantWeight(2.0))
+    E = CompactSet.from_elements(model, [])
+    f = OrliczVector.point_mass(model.identity())
+    for epsilon in (None, 1.0):
+        got = build_periodic_point(op, PHI, f, E, 2, 3, epsilon=epsilon)
+        assert got.point.is_zero() and got.tail_bound == 0.0
+
+
+RANDOM_MODELS = ALL_MODELS + [
+    GroupModel.heisenberg_lattice(1 / 3),
+    GroupModel.heisenberg_lattice(0.25),
+]
+
+
+@pytest.mark.parametrize("model", RANDOM_MODELS, ids=[f"{m.kind}-{m.h:.3g}" for m in RANDOM_MODELS])
+def test_periodic_point_matches_reference_on_random_cases(model):
+    """Random E of 0-4 points, a, n and t_max: the same point bit for bit,
+    or the same exception and message.  Off the lattice both raise
+    OffLatticeError, but the walks may name different twists, so there only
+    the types are compared."""
+    rng = np.random.default_rng(16)
+    weight = weights(model)["clamp_exp"]
+    kinds = set()
+    for _ in range(60):
+        op = WeightedTranslation(model, random_element(model, rng, span=3), weight)
+        points = [random_element(model, rng, span=2) for _ in range(rng.integers(0, 5))]
+        E = CompactSet.from_elements(model, points)
+        f = OrliczVector.from_arrays(model, E.units, rng.uniform(0.5, 2.0, len(E)))
+        n, t_max = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        outcomes = []
+        for build in (reference.build_periodic_point, build_periodic_point):
+            try:
+                outcomes.append(build(op, PHI, f, E, n, t_max))
+            except (DynamicsError, GroupError) as exc:
+                outcomes.append(exc)
+        want, got = outcomes
+        kinds.add(type(want).__name__)
+        assert type(got) is type(want)
+        if isinstance(want, OffLatticeError):
+            continue
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+        else:
+            assert bits(got.point) == bits(want.point)
+            assert got.tail_bound.hex() == want.tail_bound.hex()
+    assert "PeriodicPointResult" in kinds
 
 
 def test_underflow_to_zero_leaves_the_support():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -104,7 +105,7 @@ def parse_config(doc: dict):
     try:
         scenario = Scenario(model, phi, a, weights, powers, K, epsilon, n_max, t_max, cap)
     except dynamics.ScenarioError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(_message(exc)) from exc
     witness_opts = _parse_witness(doc, scenario) if mode == "witness" else None
     return mode, scenario, witness_opts
 
@@ -122,9 +123,10 @@ def _int_at_least(value, low: int) -> int:
 
 
 def _number(value) -> float:
-    """A JSON number (integer or not) as a float; booleans and text are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+    """A finite JSON number (integer or not) as a float; NaN, infinities,
+    booleans and text are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -258,6 +260,13 @@ def _write_outputs(outdir: Path, report: ConditionReport, extra: dict, formats):
         (outdir / "trace.csv").write_text(report.trace_csv())
 
 
+def _message(exc: Exception) -> str:
+    """The text of an error; a ``Scenario`` refusal names its document field."""
+    name = exc.field if isinstance(exc, dynamics.ScenarioError) else None
+    name = "e_k_deficit_cap" if name == "e_deficit_cap" else name
+    return str(exc) if name is None else f"field '{name}' is invalid: {exc}"
+
+
 def _run_one(config_path: Path, outdir: Path, formats, override: bool) -> int:
     try:
         doc = json.loads(config_path.read_text())
@@ -268,7 +277,7 @@ def _run_one(config_path: Path, outdir: Path, formats, override: bool) -> int:
         mode, scenario, witness_opts = parse_config(doc)
         report, extra = run_scenario(mode, scenario, witness_opts, override)
     except (ConfigError, dynamics.DynamicsError, GroupError, WeightError, YoungFunctionError) as exc:
-        print(f"error: {config_path}: {exc}")
+        print(f"error: {config_path}: {_message(exc)}")
         return 1
     _write_outputs(outdir, report, extra, formats)
     reason = f" reason: {report.reason}" if report.reason else ""
@@ -305,21 +314,13 @@ def main(argv=None) -> int:
         return 1
     if args.command == "trace":
         formats = {"csv"}
-    configs = list(args.config)
-    jobs = []
-    for cfg in configs:
-        outdir = args.out if len(configs) == 1 else args.out / cfg.stem
-        jobs.append((cfg, outdir))
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as pool:
-        codes = list(
-            pool.map(
-                lambda j: _run_one(j[0], j[1], formats, args.override_diagnostics),
-                jobs,
-            )
-        )
-    if any(c == 1 for c in codes):
-        return 1
-    return max(codes)
+    configs = args.config
+    outs = [args.out if len(configs) == 1 else args.out / cfg.stem for cfg in configs]
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(configs))) as pool:
+        codes = list(pool.map(
+            lambda cfg, out: _run_one(cfg, out, formats, args.override_diagnostics), configs, outs
+        ))
+    return 1 if 1 in codes else max(codes)
 
 
 if __name__ == "__main__":

@@ -35,10 +35,11 @@ Quantities per operator index l (power r_l), at sweep index n:
                      truncated at t_max plus a certified geometric tail
                      for each of the two directions
 
-The cocycles come from one log-table engine, ``_log_tables``: cumulative
-sums of each weight rule's ``Weight.orbit_logs`` along the orbits of a
-and a^-1, read at n and exponentiated, which keeps long products exact
-to ~1e-13 relative.  The sweep reads them over K, and the epsilon check
+The cocycles come from one log-table engine, the operator's
+``WeightedTranslation.log_tables``: cumulative sums of each weight
+rule's ``Weight.orbit_logs`` along the orbit walks of T and S, read at
+n and exponentiated, which keeps long products exact to ~1e-13
+relative.  The sweep reads them over K, and the epsilon check
 of ``build_periodic_point`` reads them over E at depth t_max * n through
 the same gather, ``_series_terms``, so it sees the numbers the
 ``chaotic`` sweep sees.  Its disjointness test is the aperiodicity scan
@@ -81,7 +82,11 @@ class DynamicsError(Exception):
 
 
 class ScenarioError(DynamicsError):
-    pass
+    """A refused scenario; ``field`` names the Scenario field at fault, if one is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class SupportEscapesKError(DynamicsError):
@@ -124,37 +129,39 @@ class Scenario:
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "powers", tuple(int(r) for r in self.powers))
         if len(self.weights) != len(self.powers) or not self.weights:
-            raise ScenarioError("need equally many weights and powers, at least one")
+            raise ScenarioError("need equally many weights and powers, at least one", "powers")
         if self.powers[0] < 1 or any(
             b <= a for a, b in zip(self.powers, self.powers[1:])
         ):
-            raise ScenarioError("powers must be strictly increasing and >= 1")
+            raise ScenarioError("powers must be strictly increasing and >= 1", "powers")
         if self.a.model != self.model or self.K.model != self.model:
             raise ScenarioError("element / set belong to a different group model")
         if not self.K.measure > 0:
-            raise ScenarioError("K must have positive measure")
+            raise ScenarioError("K must have positive measure", "K")
         if not self.epsilon > 0:
-            raise ScenarioError("epsilon must be positive")
+            raise ScenarioError("epsilon must be positive", "epsilon")
         if self.n_max < 1 or self.t_max < 1:
             raise ScenarioError("n_max and t_max must be >= 1")
         if not self.e_deficit_cap >= 0:  # NaN too
-            raise ScenarioError("deficit cap must be nonnegative")
+            raise ScenarioError("deficit cap must be nonnegative", "e_deficit_cap")
         if self.e_deficit_cap > 0 and not self.model.is_lattice:
             raise ScenarioError(
-                "counting-measure models always use E_n = K; deficit cap must be 0"
+                "counting-measure models always use E_n = K; deficit cap must be 0",
+                "e_deficit_cap",
             )
-        for i, w in enumerate(self.weights, start=1):
+        for i, w in enumerate(self.weights):
             if not isinstance(w, Weight):
-                raise ScenarioError("weights must be Weight instances")
+                raise ScenarioError("weights must be Weight instances", "weights")
             try:
                 w(self.model.identity())  # probe: coordinate index compatible
             except Exception as exc:
-                raise ScenarioError(f"weight {i} cannot be evaluated: {exc}") from exc
+                msg = f"weights[{i}] cannot be evaluated: {exc}"
+                raise ScenarioError(msg, f"weights[{i}]") from exc
         if self.model.kind == "heisenberg_lattice":
             if (self.a.units[1] * _h_fraction(self.model.h)).denominator != 1:
                 raise ScenarioError(
                     "heisenberg lattice: a's y-coordinate times h must be an integer "
-                    "so orbit products stay on the lattice"
+                    "so orbit products stay on the lattice", "a"
                 )
 
     @property
@@ -236,34 +243,8 @@ class ConditionReport:
 # orbit tables
 
 
-def _log_tables(model, units, a, weight, depth):
-    """Cumulative log-cocycle tables of one weight over the rows of units:
-
-    fwd[:, n] = sum_{j=1..n} log w(x a^j)        (fwd[:, 0] = 0)
-    bwd[:, n] = sum_{j=0..n-1} log w(x a^-j)     (bwd[:, 0] = 0)
-
-    for n = 0..depth, so the forward cocycle is exp(fwd[:, n]) and the
-    backward cocycle is exp(-bwd[:, n]).  A row's prefix does not depend
-    on the depth.  Each table fills in column blocks of ORBIT_BLOCK_CELLS
-    cells, and each block's cumsum starts from the sum carried over, so
-    the sums are those of one cumsum over the row, bit for bit, and the
-    build holds one block of log-weights beside the tables.
-    """
-    block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
-    tables = []
-    for b, js in [(a, np.arange(1, depth + 1)), (a.inverse(), np.arange(depth))]:
-        table = np.zeros((len(units), depth + 1))
-        for c in range(0, depth, block):
-            logs = weight.orbit_logs(model, units, b, js[c : c + block])
-            if c:
-                logs[:, 0] += table[:, c]
-            np.cumsum(logs, axis=1, out=table[:, c + 1 : c + 1 + logs.shape[1]])
-        tables.append(table)
-    return tuple(tables)
-
-
 class _OrbitTables:
-    """The ``_log_tables`` of every operator over the sorted points of K:
+    """The ``log_tables`` of every operator over the sorted points of K:
     fwd[l] and bwd[l] for operator l.  Operators with equal weights share
     one pair, as deep as the deepest of them needs; a weight of depth 0
     gets none.
@@ -277,7 +258,6 @@ class _OrbitTables:
             raise ScenarioError(
                 f"orbit table of {n_pts} x {max_depth} cells exceeds the desk-scale cap"
             )
-        model = scenario.model
         weights = scenario.weights
         self.fwd = [None] * scenario.L
         self.bwd = [None] * scenario.L
@@ -286,7 +266,7 @@ class _OrbitTables:
             d = max(depths[k] for k in sharing)
             if self.fwd[l] is not None or d == 0:
                 continue
-            tables = _log_tables(model, units, scenario.a, w, d)
+            tables = scenario.operator(l).log_tables(units, d)
             for k in sharing:
                 self.fwd[k], self.bwd[k] = tables
 
@@ -578,7 +558,7 @@ def check_disjoint_transitive(scenario: Scenario, override: bool = False) -> Con
     certified aperiodic on K or some weight has sup at most 1.
     """
     if scenario.L < 2:
-        raise ScenarioError("disjoint transitivity needs at least two operators")
+        raise ScenarioError("disjoint transitivity needs at least two operators", "weights")
     cond = _Condition(_pairwise_columns(scenario, _cross), range(scenario.L))
     return _check("disjoint_transitive", scenario, cond, override)
 
@@ -587,7 +567,7 @@ def check_disjoint_mixing(scenario: Scenario, override: bool = False) -> Conditi
     """Like the transitive check, but the condition must hold at every n
     of a tail window [n_tail, n_max]; n_star reports n_tail."""
     if scenario.L < 2:
-        raise ScenarioError("disjoint mixing needs at least two operators")
+        raise ScenarioError("disjoint mixing needs at least two operators", "weights")
     cond = _Condition(_pairwise_columns(scenario, _cross), range(scenario.L), tail=True)
     return _check("disjoint_mixing", scenario, cond, override)
 
@@ -600,7 +580,7 @@ def check_same_weight(scenario: Scenario, override: bool = False) -> ConditionRe
     must agree (a built-in consistency assertion).
     """
     if scenario.L < 2:
-        raise ScenarioError("the same-weight check needs at least two operators")
+        raise ScenarioError("the same-weight check needs at least two operators", "weights")
     ops = range(scenario.L)
     reduced = _Condition(_pairwise_columns(scenario, _gap), ops)
     w0 = scenario.weights[0]
@@ -624,7 +604,7 @@ def check_chaotic(scenario: Scenario, op_index: int = 0, override: bool = False)
     if not 0 <= op_index < scenario.L:
         raise ScenarioError(f"op_index {op_index} out of range")
     if scenario.t_max < 8:
-        raise ScenarioError("chaos checks need truncation depth t_max >= 8")
+        raise ScenarioError("chaos checks need truncation depth t_max >= 8", "t_max")
     cond = _Condition(_chaos_columns(scenario, op_index), (op_index,))
     return _check("chaotic", scenario, cond, override)
 
@@ -635,9 +615,9 @@ def check_disjoint_chaotic(scenario: Scenario, override: bool = False) -> Condit
     are attached as sub-verdicts; they are the `check_chaotic` conditions
     swept over the same tables."""
     if scenario.L < 2:
-        raise ScenarioError("disjoint chaos needs at least two operators")
+        raise ScenarioError("disjoint chaos needs at least two operators", "weights")
     if scenario.t_max < 8:
-        raise ScenarioError("chaos checks need truncation depth t_max >= 8")
+        raise ScenarioError("chaos checks need truncation depth t_max >= 8", "t_max")
     L = scenario.L
     series = tuple(_series(scenario, l) for l in range(L))
     combined = _Condition(_pairwise_columns(scenario, _cross) + series, range(L))
@@ -733,7 +713,7 @@ def build_periodic_point(
     model = op.model
     if epsilon is not None and t_max >= 1:
         # the numbers the chaos sweep reads: its tables at depth t_max * n, summed alike
-        tables = _log_tables(model, E.units, op.a, op.weight, t_max * n)
+        tables = op.log_tables(E.units, t_max * n)
         with np.errstate(over="ignore"):
             series = np.sum(np.add(*_series_terms(*tables, n, t_max)), axis=-1)
         worst = float(np.max(series, initial=0.0))

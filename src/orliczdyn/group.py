@@ -74,8 +74,8 @@ class GroupModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise GroupError(f"unknown group kind: {self.kind!r}")
-        if self.is_lattice and not (self.h > 0):
-            raise GroupError("cell width h must be positive")
+        if self.is_lattice and not 0 < self.h < math.inf:
+            raise GroupError("cell width h must be positive and finite")
         if not self.is_lattice and self.h != 1.0:
             raise GroupError("counting-measure kinds have h = 1")
 
@@ -228,8 +228,8 @@ def unit_entries(entries, dim: int | None = None):
         dim = len(key) if dim is None else dim
         if len(key) != dim:
             raise GroupError(f"key {key!r} must have {dim} coordinates")
-        if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-            raise GroupError(f"value {value!r} at key {key!r} must be a number")
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise GroupError(f"value {value!r} at key {key!r} must be a finite number")
         keys.append(key)
         values.append(value)
     units = unit_rows(keys, dim or 0)

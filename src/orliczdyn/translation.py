@@ -1,35 +1,33 @@
 """Weighted translation operators and their weight-product cocycles.
 
-The operator generated by a group element a and a weight w sends f to
-w * (f translated by a); its right inverse divides by the weight and
+The operator T generated by a group element a and a weight w sends f to
+w * (f translated by a); its right inverse S divides by the weight and
 translates back.  Along the orbit of a two scalar products control the
 dynamics:
 
 * forward cocycle   prod_{j=1..n} w(x * a^j)
 * backward cocycle  1 / prod_{j=0..n-1} w(x * a^-j)
 
+``WeightedTranslation._walk`` states this direction rule once, and every
+walk reads it: ``orbit`` behind ``apply``/``apply_inv``, the cumulative
+log-cocycle tables of ``log_tables`` that the checkers sweep, and the
+scalar oracle behind ``cocycle_fwd``/``cocycle_bwd``, which sums logs
+past 64 factors so that long products neither under- nor overflow.
+
 Each weight rule owns its formulas: ``__call__`` at one element,
 ``on_units`` on the rows of an (N, d) units array, and ``orbit_logs``
-for the log-weights along whole orbits, from which the checkers build
-their cumulative log-cocycle tables (``dynamics._log_tables``).  The
-clamp-exponential rule reads its orbit logs from the
-``_accel.clampexp_orbit_logs`` kernel; the constant rule fills them.
-A table weight holds its keys as sorted unit rows, like ``CompactSet``.
+for the log-weights along whole orbits; the clamp-exponential rule reads
+them from the ``_accel.clampexp_orbit_logs`` kernel.  A table weight
+holds its keys as sorted unit rows, like ``CompactSet``.
 
-``cocycle_fwd`` and ``cocycle_bwd`` are the scalar oracle for those
-tables: one group product and one weight call per step, switching to
-log-space accumulation past 64 factors so that long geometric products
-neither under- nor overflow midway.
-
-``apply``, ``apply_inv`` and ``orbit`` walk orbits on unit arrays: the
-points x * a^j come in closed form from ``GroupModel.orbit_units``, each
-weight rule evaluates a whole block of them at once (``Weight.on_units``),
-and the values are folded with ``np.multiply.accumulate`` (``np.divide``
-for the inverse) along the step axis.  An accumulate rounds after every
-step, in step order, exactly as the step-by-step operator does; a
-``prod`` or ``reduce`` may reorder the factors and round differently.
-Steps go in blocks of ORBIT_BLOCK_CELLS points times steps, carrying the
-running values, so memory does not grow with n.
+``orbit`` gets the points x * a^j in closed form from
+``GroupModel.orbit_units``, evaluates the weight on a block of them at
+once and folds the values with ``np.multiply.accumulate`` (``np.divide``
+for S) along the step axis.  An accumulate rounds after every step, in
+step order, exactly as the step-by-step operator does; a ``prod`` or
+``reduce`` may reorder the factors and round differently.  Orbits and
+tables go in blocks of ORBIT_BLOCK_CELLS points times steps, carrying
+the running values, so memory does not grow with n.
 """
 
 from __future__ import annotations
@@ -68,17 +66,15 @@ class Weight:
     def __call__(self, x: GroupElement) -> float:
         raise NotImplementedError
 
-    def log_value(self, x: GroupElement) -> float:
-        return math.log(self(x))
-
     def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
         """w at every row of an (N, d) units array, bit for bit ``__call__``."""
         return np.array([self(e) for e in model.elements(units)], dtype=np.float64)
 
     def orbit_logs(self, model: GroupModel, units: np.ndarray, step, js) -> np.ndarray:
         """(N, J) log-weights at units[i] * step^js[j], bit for bit
-        ``log_value``, from one ``on_units`` call over all N * J points
-        (``dynamics._log_tables`` asks for at most ORBIT_BLOCK_CELLS)."""
+        ``math.log`` of ``__call__``, from one ``on_units`` call over all
+        N * J points (``WeightedTranslation.log_tables`` asks for at most
+        ORBIT_BLOCK_CELLS)."""
         pts = model.orbit_units(units, step, js).reshape(-1, model.dim)
         return log_values(self.on_units(model, pts)).reshape(len(units), len(js))
 
@@ -105,9 +101,6 @@ class ConstantWeight(Weight):
     def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
         return np.full(len(units), self.c)
 
-    def orbit_logs(self, model: GroupModel, units: np.ndarray, step, js) -> np.ndarray:
-        return np.full((len(units), len(js)), math.log(self.c))
-
     def sup_bound(self) -> float:
         return self.c
 
@@ -131,8 +124,8 @@ class ClampExpWeight(Weight):
     def __post_init__(self):
         if not (self.base > 0 and self.base != 1.0 and math.isfinite(self.base)):
             raise WeightError("clamp_exp base must be positive and != 1")
-        if not self.lo < self.hi:
-            raise WeightError("clamp_exp needs lo < hi")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise WeightError("clamp_exp needs finite lo < hi")
         if self.coord < 0:
             raise WeightError("coordinate index must be nonnegative")
 
@@ -148,8 +141,8 @@ class ClampExpWeight(Weight):
         return np.array([self.base ** -c for c in distinct.tolist()])[where.reshape(-1)]
 
     def orbit_logs(self, model: GroupModel, units: np.ndarray, step, js) -> np.ndarray:
-        """The kernel's log-weights: they agree with ``log_value`` to 1e-14
-        relative, not bit for bit."""
+        """The kernel's log-weights: they agree with ``math.log`` of
+        ``__call__`` to 1e-14 relative, not bit for bit."""
         origin = np.zeros((1, model.dim), dtype=np.int64)
         return _accel.clampexp_orbit_logs(
             units,
@@ -246,14 +239,14 @@ class WeightedTranslation:
         if self.a.model != self.model:
             raise ModelMismatchError("translation element from a different model")
 
+    def _walk(self, inverse: bool):
+        """(step, first): n steps of T have their factors at x * a^j, j = 1..n,
+        and of S at x * a^-j, j = 0..n-1: at x * step^j from j = first."""
+        return (self.a.inverse(), 0) if inverse else (self.a, 1)
+
     def apply(self, f: OrliczVector, n: int = 1) -> OrliczVector:
         """n-fold application of x -> w(x) f(x a^-1); n = 0 is the identity."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if n == 0:
-            return f
-        units, values = self.orbit(f, n, 1)
-        return OrliczVector.from_arrays(self.model, units[:, 0], values[:, 0])
+        return self._apply(f, n, False)
 
     def apply_inv(self, h: OrliczVector, n: int = 1) -> OrliczVector:
         """n-fold application of x -> h(x a) / w(x a), the right inverse.
@@ -261,12 +254,15 @@ class WeightedTranslation:
         On finitely supported vectors both compositions with apply are
         the identity (the weighted composition is a bijection).
         """
+        return self._apply(h, n, True)
+
+    def _apply(self, f: OrliczVector, n: int, inverse: bool) -> OrliczVector:
         if n < 0:
             raise ValueError("n must be >= 0")
         if n == 0:
-            self.a.inverse()  # a^-1 must exist on the lattice even when nothing moves
-            return h
-        units, values = self.orbit(h, n, 1, inverse=True)
+            self._walk(inverse)  # a^-1 must exist on the lattice even when nothing moves
+            return f
+        units, values = self.orbit(f, n, 1, inverse)
         return OrliczVector.from_arrays(self.model, units[:, 0], values[:, 0])
 
     def orbit(self, f: OrliczVector, n: int, count: int, inverse: bool = False):
@@ -280,18 +276,17 @@ class WeightedTranslation:
         if n < 1:
             raise ValueError("n must be >= 1")
         model = self.model
-        step = self.a.inverse() if inverse else self.a
+        step, first = self._walk(inverse)
         if f.is_zero():
             return np.zeros((0, count, model.dim), dtype=np.int64), np.zeros((0, count))
         if f.model != model:
             raise ModelMismatchError("elements belong to different group models")
         units, cur = f.units, f.values[:, None]
         ends = model.orbit_units(units, step, n * np.arange(1, count + 1))
-        # T multiplies by w where a step lands (x a^j, j >= 1); S divides by
-        # w where it starts (x a^-j, j >= 0).  The accumulate applies the
-        # steps in order, rounding after each, in blocks that carry the
-        # running values; the values are read after every n steps.
-        fold, first = (np.divide, 0) if inverse else (np.multiply, 1)
+        # T multiplies by the factors, S divides by them.  The accumulate
+        # applies the steps in order, rounding after each, in blocks that
+        # carry the running values; the values are read after every n steps.
+        fold = np.divide if inverse else np.multiply
         n_pts, n_steps = len(units), count * n
         block = max(1, ORBIT_BLOCK_CELLS // n_pts)
         cols = [np.empty((n_pts, 0))]
@@ -305,46 +300,64 @@ class WeightedTranslation:
                 cur = run[:, -1:]
         return ends, np.hstack(cols)
 
+    def log_tables(self, units: np.ndarray, depth: int):
+        """Cumulative log-cocycle tables over the rows of an (N, d) units array:
+
+        fwd[:, n] = sum_{j=1..n} log w(x a^j)        (fwd[:, 0] = 0)
+        bwd[:, n] = sum_{j=0..n-1} log w(x a^-j)     (bwd[:, 0] = 0)
+
+        for n = 0..depth, so the forward cocycle is exp(fwd[:, n]) and the
+        backward cocycle is exp(-bwd[:, n]).  A row's prefix does not depend
+        on the depth.  Each table fills in column blocks of ORBIT_BLOCK_CELLS
+        cells, and each block's cumsum starts from the sum carried over, so
+        the sums are those of one cumsum over the row, bit for bit, and the
+        build holds one block of log-weights beside the tables.
+        """
+        block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
+        tables = []
+        for inverse in (False, True):
+            step, first = self._walk(inverse)
+            table = np.zeros((len(units), depth + 1))
+            for c in range(0, depth, block):
+                js = np.arange(c, min(c + block, depth)) + first
+                logs = self.weight.orbit_logs(self.model, units, step, js)
+                if c:
+                    logs[:, 0] += table[:, c]
+                np.cumsum(logs, axis=1, out=table[:, c + 1 : c + 1 + len(js)])
+            tables.append(table)
+        return tuple(tables)
+
     def cocycle_fwd(self, n: int, x: GroupElement) -> float:
         """prod_{j=1..n} w(x * a^j)."""
-        if n < 1:
-            raise ValueError("cocycle index n must be >= 1")
-        w, a = self.weight, self.a
-        cur = x
-        if n <= LOG_SPACE_SWITCH:
-            out = 1.0
-            for _ in range(n):
-                cur = cur * a
-                out *= w(cur)
-            return out
-        acc = 0.0
-        for _ in range(n):
-            cur = cur * a
-            acc += w.log_value(cur)
-        return math.exp(acc)
+        return self._cocycle(n, x, False)
 
     def cocycle_bwd(self, n: int, x: GroupElement) -> float:
         """1 / prod_{j=0..n-1} w(x * a^-j)."""
+        return self._cocycle(n, x, True)
+
+    def _cocycle(self, n: int, x: GroupElement, inverse: bool) -> float:
+        """The product of the walk's n factors (its reciprocal for S), summed
+        in logs past LOG_SPACE_SWITCH factors; no point past them is made."""
         if n < 1:
             raise ValueError("cocycle index n must be >= 1")
-        w, a_inv = self.weight, self.a.inverse()
-        cur = x
+        (step, first), w = self._walk(inverse), self.weight
+        cur = x * step if first else x
         if n <= LOG_SPACE_SWITCH:
-            out = 1.0
-            for _ in range(n):
+            out = w(cur)
+            for _ in range(n - 1):
+                cur = cur * step
                 out *= w(cur)
-                cur = cur * a_inv
-            return 1.0 / out
-        acc = 0.0
-        for _ in range(n):
-            acc += w.log_value(cur)
-            cur = cur * a_inv
-        return math.exp(-acc)
+            return 1.0 / out if inverse else out
+        acc = math.log(w(cur))
+        for _ in range(n - 1):
+            cur = cur * step
+            acc += math.log(w(cur))
+        return math.exp(-acc if inverse else acc)
 
 
 def log_values(values: np.ndarray) -> np.ndarray:
     """math.log of every entry, once per distinct value: the bits of
-    ``Weight.log_value`` (np.log may differ in the last bit)."""
+    ``math.log`` of each weight (np.log may differ in the last bit)."""
     distinct, where = np.unique(values, return_inverse=True)
     return np.array([math.log(v) for v in distinct.tolist()])[where.reshape(-1)]
 

@@ -181,7 +181,10 @@ class PowerYoung(YoungFunction):
             raise InvalidParameterError(f"power family requires p >= 1, got {self.p}")
 
     def __call__(self, t: float) -> float:
-        return abs(t) ** self.p / self.p
+        try:
+            return abs(t) ** self.p / self.p
+        except OverflowError:  # like ``values``: +inf past the float range
+            return math.inf
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return ts**self.p / self.p
@@ -208,7 +211,10 @@ class PowerLogYoung(YoungFunction):
         u = abs(t)
         if u == 0.0:
             return 0.0
-        return u**self.alpha * (1.0 + abs(math.log(u)))
+        try:
+            return u**self.alpha * (1.0 + abs(math.log(u)))
+        except OverflowError:  # like ``values``: +inf past the float range
+            return math.inf
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         out = np.zeros_like(ts)
@@ -230,8 +236,8 @@ class CustomYoung(YoungFunction):
     def __init__(self, samples, divergence_floor: float = 1.0):
         ts = np.asarray([s[0] for s in samples], dtype=np.float64)
         ys = np.asarray([s[1] for s in samples], dtype=np.float64)
-        if len(ts) < 3:
-            raise InvalidParameterError("custom grid needs at least 3 samples")
+        if len(ts) < 3 or not np.isfinite([ts, ys]).all():
+            raise InvalidParameterError("custom grid needs at least 3 samples, all finite")
         if ts[0] != 0.0 or ys[0] != 0.0:
             raise InvalidParameterError("custom grid must start at (0, 0)")
         if np.any(np.diff(ts) <= 0):

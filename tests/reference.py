@@ -6,11 +6,17 @@ of ``aperiodicity_bound`` replaced: one group product and one weight call
 per support point per step, and every n up to n_max in the scan.  The
 tests hold the array walks to them bit for bit.
 
-``log_tables`` is the one cumsum over whole rows that the blocked
-``dynamics._log_tables`` replaced.  ``sweep`` is the engine's sweep one n
-at a time, and ``select_e`` chooses E_n at one n from every accept row
-of a condition; ``dynamics._sweep`` and ``dynamics._select_e`` replaced
-them with one blocked sweep that chooses E_n for a block of n at once.
+``cocycle_fwd`` and ``cocycle_bwd`` are the two scalar loops that
+``WeightedTranslation`` folded into one walk, as they were (with
+``math.log(w(x))`` for the removed ``Weight.log_value``): each states its
+own direction, and the backward loop still makes the unused point
+x * a^-n, which may leave a lattice.  ``log_tables`` is the one cumsum
+over whole rows that the blocked ``WeightedTranslation.log_tables``
+replaced; it states the direction rule literally, apart from the
+operator's ``_walk``.  ``sweep`` is the engine's sweep one n at a time,
+and ``select_e`` chooses E_n at one n from every accept row of a
+condition; ``dynamics._sweep`` and ``dynamics._select_e`` replaced them
+with one blocked sweep that chooses E_n for a block of n at once.
 """
 
 import math
@@ -117,6 +123,42 @@ def build_periodic_point(op, phi, f, E, n, t_max, epsilon=None):
     fwd_beyond = apply(op, cur, n)
     tail_bound = fwd_beyond.luxemburg_norm(phi) + bwd_last.luxemburg_norm(phi)
     return PeriodicPointResult(point=p, tail_bound=tail_bound, n=n, t_max=t_max)
+
+
+def cocycle_fwd(op, n, x):
+    if n < 1:
+        raise ValueError("cocycle index n must be >= 1")
+    w, a = op.weight, op.a
+    cur = x
+    if n <= 64:
+        out = 1.0
+        for _ in range(n):
+            cur = cur * a
+            out *= w(cur)
+        return out
+    acc = 0.0
+    for _ in range(n):
+        cur = cur * a
+        acc += math.log(w(cur))
+    return math.exp(acc)
+
+
+def cocycle_bwd(op, n, x):
+    if n < 1:
+        raise ValueError("cocycle index n must be >= 1")
+    w, a_inv = op.weight, op.a.inverse()
+    cur = x
+    if n <= 64:
+        out = 1.0
+        for _ in range(n):
+            out *= w(cur)
+            cur = cur * a_inv
+        return 1.0 / out
+    acc = 0.0
+    for _ in range(n):
+        acc += math.log(w(cur))
+        cur = cur * a_inv
+    return math.exp(-acc)
 
 
 def log_tables(model, units, a, weight, depth):

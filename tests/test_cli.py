@@ -369,7 +369,9 @@ class TestCheck:
                        powers=[1], K={"box": {"lo": [-1, -1], "hi": [1, 1]}})
         code, out = run_cli(tmp_path, doc)
         assert code == 1
-        assert "weight 1 cannot be evaluated" in capsys.readouterr().out
+        assert "field 'weights[0]' is invalid: weights[0] cannot be evaluated" in (
+            capsys.readouterr().out
+        )
         assert not out.exists()
 
     def test_bad_config_does_not_sink_batch(self, tmp_path, capsys):
@@ -409,8 +411,124 @@ class TestCheck:
                        K={"box": {"lo": [-1], "hi": [1]}}, e_k_deficit_cap=math.nan)
         code, out = run_cli(tmp_path, doc)
         assert code == 1
-        assert "deficit cap must be nonnegative" in capsys.readouterr().out
+        assert "field 'e_k_deficit_cap' is invalid" in capsys.readouterr().out
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"epsilon": math.inf}, "epsilon"),
+            ({"epsilon": math.nan}, "epsilon"),
+            ({"e_k_deficit_cap": math.inf}, "e_k_deficit_cap"),
+            ({"group": {"kind": "lattice_line", "h": math.inf}}, "group.h"),
+            ({"weights": [dict(STEP_W, lo=-math.inf), STEP_W]}, "weights[0].lo"),
+            ({"weights": [STEP_W, dict(STEP_W, hi=math.inf)]}, "weights[1].hi"),
+            ({"weights": [STEP_W, {"rule": "constant", "c": math.inf}]}, "weights[1].c"),
+            (
+                {"weights": [STEP_W, {"rule": "table", "entries": [[[1], math.inf]],
+                                      "default": 2}]},
+                "weights[1].entries",
+            ),
+            ({"young": {"family": "custom", "samples": [[0, 0], [1, math.nan], [2, 4]]}},
+             "young.samples"),
+            ({"young": {"family": "custom", "samples": [[0, 0], [1, 1], [math.inf, 4]]}},
+             "young.samples"),
+            ({"young": {"family": "power", "p": math.inf}}, "young.p"),
+            ({"a": [math.inf]}, "a"),
+            ({"K": {"box": {"lo": [-3], "hi": [math.inf]}}}, "K.box.hi"),
+            ({"mode": "witness", "witness": {"f": [[[0], math.nan]]}}, "witness.f"),
+            ({"mode": "witness", "witness": {"f": [[[0], math.inf]]}}, "witness.f"),
+            ({"mode": "witness", "witness": {"targets": [[[[0], -math.inf]], []]}},
+             "witness.targets"),
+        ],
+        ids=[
+            "epsilon_inf",
+            "epsilon_nan",
+            "cap_inf",
+            "h_inf",
+            "lo_minus_inf",
+            "hi_inf",
+            "c_inf",
+            "table_value_inf",
+            "samples_nan",
+            "samples_inf",
+            "p_inf",
+            "a_inf",
+            "box_inf",
+            "witness_f_nan",
+            "witness_f_inf",
+            "witness_target_minus_inf",
+        ],
+    )
+    def test_non_finite_numbers_exit_1(self, tmp_path, capsys, overrides, field):
+        # the document is written with json.dumps, so it holds NaN, Infinity
+        # and -Infinity, which Python's json reads back
+        doc = z_config(group={"kind": "lattice_line", "h": 0.5}, a=[0.5])
+        doc.update(overrides)
+        code, out = run_cli(tmp_path, doc)
+        assert code == 1
+        assert f"field '{field}' is invalid" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides,field,message",
+        [
+            ({"epsilon": -0.01}, "epsilon", "epsilon must be positive"),
+            ({"e_k_deficit_cap": -1.0}, "e_k_deficit_cap", "deficit cap must be nonnegative"),
+            ({"e_k_deficit_cap": 1.0, "group": {"kind": "int_line"}, "a": [1]},
+             "e_k_deficit_cap", "counting-measure models"),
+            ({"powers": [2, 1]}, "powers", "strictly increasing"),
+            ({"powers": [1]}, "powers", "equally many weights and powers"),
+            ({"K": {"points": []}}, "K", "positive measure"),
+            (
+                {"group": {"kind": "heisenberg_lattice", "h": 0.5}, "a": [1, 0.5, 0],
+                 "weights": [HEIS_W, HEIS_W], "K": {"box": {"lo": [0] * 3, "hi": [0] * 3}}},
+                "a",
+                "a's y-coordinate times h",
+            ),
+            ({"weights": [STEP_W], "powers": [1]}, "weights", "at least two operators"),
+            ({"mode": "disjoint_mixing", "weights": [STEP_W], "powers": [1]}, "weights",
+             "at least two operators"),
+            ({"mode": "same_weight", "weights": [STEP_W], "powers": [1]}, "weights",
+             "at least two operators"),
+            ({"mode": "disjoint_chaotic", "weights": [STEP_W], "powers": [1]}, "weights",
+             "at least two operators"),
+            ({"mode": "chaotic", "t_max": 7}, "t_max", "t_max >= 8"),
+            ({"mode": "disjoint_chaotic", "t_max": 7}, "t_max", "t_max >= 8"),
+        ],
+        ids=[
+            "epsilon_negative",
+            "cap_negative",
+            "cap_on_counting_model",
+            "powers_decreasing",
+            "powers_too_few",
+            "K_empty",
+            "a_off_heisenberg_lattice",
+            "transitive_one_operator",
+            "mixing_one_operator",
+            "same_weight_one_operator",
+            "disjoint_chaotic_one_operator",
+            "chaotic_short_t_max",
+            "disjoint_chaotic_short_t_max",
+        ],
+    )
+    def test_scenario_refusals_name_their_field(self, tmp_path, capsys, overrides, field, message):
+        doc = z_config(group={"kind": "lattice_line", "h": 0.5}, a=[0.5])
+        doc.update(overrides)
+        code, out = run_cli(tmp_path, doc)
+        assert code == 1
+        printed = capsys.readouterr().out
+        assert f"field '{field}' is invalid: " in printed and message in printed
+        assert not out.exists()
+
+    def test_large_young_exponent_runs(self, tmp_path):
+        # phi(t) = t^1100 / 1100 overflows float inside the norm's bracket search
+        for young in ({"family": "power", "p": 1100}, {"family": "powerlog", "alpha": 1100}):
+            code, out = run_cli(tmp_path, z_config(mode="witness", young=young))
+            assert code in (0, 2)
+            report = json.loads((out / "report.json").read_text())
+            witness = report["witness"]
+            assert all(math.isfinite(r) for r in [witness["rho_0"], *witness["rho_l"]])
 
     def test_format_json_only(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -188,6 +189,12 @@ class TestCompactSets:
         assert K.units.tolist() == [[0], [1]]
         assert OrliczVector.indicator(K).value(ZLINE.element([1])) == 1.0
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
+    def test_cell_width_must_be_positive_and_finite(self, h):
+        for make in (GroupModel.lattice_line, GroupModel.heisenberg_lattice):
+            with pytest.raises(GroupError, match="positive and finite"):
+                make(h)
+
     def test_unit_entries(self):
         units, values = group.unit_entries([[[2, 0], 1], [(-1, 5), 0.5]])
         assert units.tolist() == [[-1, 5], [2, 0]] and units.dtype == np.int64
@@ -204,6 +211,9 @@ class TestCompactSets:
             ([[[np.float64(1.0)], 1.0]], None),
             ([[[0], "1"]], None),
             ([[[0], False]], None),
+            ([[[0], math.nan]], None),
+            ([[[0], math.inf]], None),
+            ([[[0], -math.inf]], None),
         ]:
             with pytest.raises(GroupError):
                 group.unit_entries(entries, dim)

@@ -13,10 +13,9 @@ from orliczdyn.dynamics import (
     DisjointnessViolatedError,
     DynamicsError,
     NotChaoticAtNError,
-    _log_tables,
     build_periodic_point,
 )
-from orliczdyn.group import CompactSet, GroupError, GroupModel, OffLatticeError
+from orliczdyn.group import CompactSet, GroupError, GroupModel, OffLatticeError, _h_fraction
 from orliczdyn.orlicz import OrliczVector, indicator
 from orliczdyn.translation import (
     ClampExpWeight,
@@ -304,7 +303,7 @@ def test_orbit_logs_match_log_value(model, name, direction):
     step, js = (a, np.arange(1, 40)) if direction == "fwd" else (a.inverse(), np.arange(40))
     logs = weight.orbit_logs(model, K.units, step, js)
     powers = [step ** int(j) for j in js]
-    want = [[weight.log_value(x * b) for b in powers] for x in K]
+    want = [[math.log(weight(x * b)) for b in powers] for x in K]
     if name == "clamp_exp":
         np.testing.assert_allclose(logs, want, rtol=1e-14, atol=1e-15)
     else:
@@ -321,11 +320,50 @@ def test_cocycles_match_scalar_methods(model, name):
     op = operator(model, name, rng)
     points = [random_element(model, rng, span=4) for _ in range(5)]
     for n, count in [(1, 3), (7, 12), (65, 2)]:  # products, then past LOG_SPACE_SWITCH
-        fwd, bwd = _log_tables(model, model.units_array(points), op.a, op.weight, count * n)
+        fwd, bwd = op.log_tables(model.units_array(points), count * n)
         for i, x in enumerate(points):
             for k in n * np.arange(1, count + 1):
                 assert np.exp(fwd[i, k]) == pytest.approx(op.cocycle_fwd(int(k), x), rel=1e-12)
                 assert np.exp(-bwd[i, k]) == pytest.approx(op.cocycle_bwd(int(k), x), rel=1e-12)
+
+
+SCALAR_MODELS = [*ALL_MODELS, *(GroupModel.heisenberg_lattice(h) for h in (1 / 3, 0.25))]
+SCALAR_IDS = [m.kind for m in ALL_MODELS] + ["heisenberg_lattice_third", "heisenberg_lattice_quarter"]
+
+
+@pytest.mark.parametrize("name", ["constant", "clamp_exp", "table", "call_only"])
+@pytest.mark.parametrize("model", SCALAR_MODELS, ids=SCALAR_IDS)
+def test_scalar_cocycles_match_the_two_loops(model, name):
+    # one walk behind both cocycles gives the bits of the two loops it
+    # replaced, as products and, past LOG_SPACE_SWITCH factors, as log sums
+    weight = CallOnly() if name == "call_only" else weights(model)[name]
+    rng = np.random.default_rng([18, SCALAR_MODELS.index(model)])
+    den = _h_fraction(model.h).denominator if model.kind == "heisenberg_lattice" else 1
+    for _ in range(3):
+        a = random_element(model, rng, span=3).units
+        if den > 1:  # a's y-units times h an integer: the walks stay on the lattice
+            a = (a[0], den * (a[1] // den), a[2])
+        op = WeightedTranslation(model, model.element_units(a), weight)
+        x = random_element(model, rng, span=4)
+        for n in (1, 2, 63, 64, 65, 130):
+            assert op.cocycle_fwd(n, x).hex() == reference.cocycle_fwd(op, n, x).hex()
+            assert op.cocycle_bwd(n, x).hex() == reference.cocycle_bwd(op, n, x).hex()
+
+
+def test_cocycle_bwd_makes_no_point_past_its_factors():
+    # bwd at n = 1 is 1 / w(x); the loop it replaced also made x a^-1, whose
+    # twist 1 * -1 * h leaves the h = 0.5 lattice, and raised
+    model = GroupModel.heisenberg_lattice(0.5)
+    a, x = model.element_units([2, 1, 0]), model.element_units([1, 0, 1])
+    for weight in (ConstantWeight(2.0), weights(model)["clamp_exp"]):
+        op = WeightedTranslation(model, a, weight)
+        with pytest.raises(OffLatticeError, match=re.escape("1*-1*h")):
+            reference.cocycle_bwd(op, 1, x)
+        assert op.cocycle_bwd(1, x) == 1.0 / weight(x)
+    assert WeightedTranslation(model, a, ConstantWeight(2.0)).cocycle_bwd(1, x) == 0.5
+    # the clamp kernel's tables make no group products, so they reach x a here too
+    _, bwd = op.log_tables(model.units_array([x]), 1)
+    assert op.cocycle_bwd(1, x) == pytest.approx(np.exp(-bwd[0, 1]), rel=1e-14)
 
 
 def worst_of(exc) -> float:

@@ -6,8 +6,10 @@ at a time, with ``reference.select_e`` at each n.  Every checker mode
 must give the same trace.csv, verdict, n_star, reason and sub-verdicts,
 byte for byte, at deficit budgets of 0 and above, at the default block
 size and at one small enough to split n_max into several blocks.
-``_log_tables`` fills its tables in column blocks and must match one
-cumsum over whole rows bit for bit.
+``WeightedTranslation.log_tables`` fills its tables in column blocks and
+must match one cumsum over whole rows bit for bit.  Small blocks are
+patched where each loop reads them: the sweep's in ``dynamics``, the
+table build's in ``translation``.
 """
 
 import dataclasses
@@ -18,10 +20,10 @@ import pytest
 
 import reference
 from samples import ALL_MODELS, random_element
-from orliczdyn import dynamics
+from orliczdyn import dynamics, translation
 from orliczdyn.dynamics import Scenario, _Column, _Condition, _fwd
 from orliczdyn.group import CompactSet, GroupModel
-from orliczdyn.translation import ClampExpWeight, ConstantWeight, TableWeight
+from orliczdyn.translation import ClampExpWeight, ConstantWeight, TableWeight, WeightedTranslation
 from orliczdyn.young import PowerYoung
 
 RULES = ("constant", "clamp_exp", "table")
@@ -98,6 +100,7 @@ def engine_and_reference(monkeypatch, check, scenario, override):
 def test_modes_match_reference(monkeypatch, model, rule, cells):
     if cells:
         monkeypatch.setattr(dynamics, "ORBIT_BLOCK_CELLS", cells)
+        monkeypatch.setattr(translation, "ORBIT_BLOCK_CELLS", cells)
     rng = np.random.default_rng([ALL_MODELS.index(model), RULES.index(rule)])
     caps = np.random.default_rng([ALL_MODELS.index(model), RULES.index(rule), 1])
     for mode, check in MODES.items():
@@ -269,7 +272,7 @@ def test_positive_budget_matches_reference(monkeypatch):
 @pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
 def test_log_tables_match_one_cumsum(monkeypatch, model, cells):
     if cells:
-        monkeypatch.setattr(dynamics, "ORBIT_BLOCK_CELLS", cells)
+        monkeypatch.setattr(translation, "ORBIT_BLOCK_CELLS", cells)
     rng = np.random.default_rng(ALL_MODELS.index(model))
     hw = 2 * model.h
     units = CompactSet.box(model, [-hw] * model.dim, [hw] * model.dim).units
@@ -278,7 +281,7 @@ def test_log_tables_match_one_cumsum(monkeypatch, model, cells):
         while a.is_identity:
             a = random_element(model, rng, span=2)
         weight = random_weight(rule, model, rng)
-        got = dynamics._log_tables(model, units, a, weight, 41)
+        got = WeightedTranslation(model, a, weight).log_tables(units, 41)
         want = reference.log_tables(model, units, a, weight, 41)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()

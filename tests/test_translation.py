@@ -42,6 +42,11 @@ class TestWeights:
     def test_step_bounds(self):
         assert STEP.sup_bound() == 2.0 and STEP.inf_bound() == 0.5
 
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)])
+    def test_clamp_window_must_be_finite(self, lo, hi):
+        with pytest.raises(WeightError, match="finite"):
+            ClampExpWeight(base=2.0, coord=0, lo=lo, hi=hi)
+
     def test_constant(self):
         w = ConstantWeight(3.0)
         assert w(ZLINE.element([17])) == 3.0

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from orliczdyn.group import GroupModel
+from orliczdyn.orlicz import OrliczVector
 from orliczdyn.young import (
     ConjugateDivergesError,
     CustomYoung,
@@ -52,6 +54,22 @@ class TestEval:
             PowerYoung(0.9)
         with pytest.raises(InvalidParameterError):
             PowerLogYoung(1.0)
+
+    @pytest.mark.parametrize("phi", [PowerYoung(1100.0), PowerLogYoung(1100.0)], ids=repr)
+    def test_large_exponent_overflows_to_inf(self, phi):
+        # the scalar formula gives +inf where the array formula does, not OverflowError
+        with np.errstate(over="ignore"):
+            assert phi(10.0) == phi(-10.0) == phi.values(np.array([10.0]))[0] == math.inf
+        model = GroupModel.int_line()
+        v = OrliczVector(model, {model.element([0]): 1.0, model.element([1]): 3.0})
+        norm = v.luxemburg_norm(phi)
+        assert math.isfinite(norm) and v.modular(norm, phi) <= 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_custom_refuses_non_finite_samples(self, bad):
+        for samples in ([(0, 0), (1, 1), (2, bad)], [(0, 0), (1, 1), (bad, 4)]):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                CustomYoung(samples)
 
     def test_custom_out_of_grid(self):
         phi = quadratic_custom(t_max=10.0)

@@ -100,8 +100,8 @@ def parse_config(doc: dict):
     K = _field(doc, "K", lambda d: _parse_set(model, d))
     epsilon = _field(doc, "epsilon", _number)
     n_max = _field(doc, "n_max", _positive_int)
-    t_max = _field(doc, "t_max", _positive_int, default=50, required=False)
-    cap = _field(doc, "e_k_deficit_cap", _number, default=0.0, required=False)
+    t_max = _field(doc, "t_max", _positive_int, default=Scenario.t_max, required=False)
+    cap = _field(doc, "e_k_deficit_cap", _number, default=Scenario.e_deficit_cap, required=False)
     try:
         scenario = Scenario(model, phi, a, weights, powers, K, epsilon, n_max, t_max, cap)
     except dynamics.ScenarioError as exc:

@@ -2,9 +2,8 @@
 
 Every checker mode is a condition swept by one engine.  A condition is
 
-* a list of columns: sup quantities of the weight-product cocycles, each
-  read off shared cumulative log tables at sweep index n as a (trace,
-  accept) row over the points of a finite compact set K;
+* a list of columns (``_Column``): sup quantities of the weight-product
+  cocycles over the points of a finite compact set K;
 * the operators whose ``sup w <= 1`` refuses the run;
 * a verdict rule: the first n at which every column is strictly below
   epsilon on K (or on a subset E_n chosen by the deficit policy), or for
@@ -23,7 +22,11 @@ of K unless some point violates at n and the deficit budget
 cell or more; then ``_select_e`` drops the worst violators, at most the
 budget, and the trace cell is the max over what is left.
 
-Quantities per operator index l (power r_l), at sweep index n:
+A column term (sign, direction, l, k) stands for sign times the log
+table of operator l in that direction at index k * n, and a column's row
+is exp of its terms' sum; ``_exp_sum`` is the one reader of the tables.
+The table depths come from the terms.  Quantities per operator index l
+(power r_l), at sweep index n:
 
 * ``fwd_l``          forward cocycle at r_l * n
 * ``bwd_l``          backward cocycle at r_l * n
@@ -39,23 +42,25 @@ The cocycles come from one log-table engine, the operator's
 ``WeightedTranslation.log_tables``: cumulative sums of each weight
 rule's ``Weight.orbit_logs`` along the orbit walks of T and S, read at
 n and exponentiated, which keeps long products exact to ~1e-13
-relative.  The sweep reads them over K, and the epsilon check
-of ``build_periodic_point`` reads them over E at depth t_max * n through
-the same gather, ``_series_terms``, so it sees the numbers the
-``chaotic`` sweep sees.  Its disjointness test is the aperiodicity scan
-of a^n over E up to 2 t_max, projection cap included.  The scalar
-``cocycle_fwd``/``cocycle_bwd`` of the operator are the oracle the tests
-hold these tables to.
+relative.  The sweep reads them over K.  The epsilon check of
+``build_periodic_point`` reads them over E at depth t_max * n through
+the sweep's series gather, ``_series_terms``, so it sums the terms the
+``chaotic`` sweep sums, but compares the truncated sum alone: the
+sweep's ``series_l`` cell adds each direction's geometric tail.  Its
+disjointness test is the aperiodicity scan of a^n over E up to 2 t_max,
+projection cap included.  The scalar ``cocycle_fwd``/``cocycle_bwd`` of
+the operator are the oracle the tests hold these tables to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import translation
 from .group import (
     AperiodicityCertificate,
     CompactSet,
@@ -66,7 +71,7 @@ from .group import (
     row_index,
 )
 from .orlicz import OrliczVector
-from .translation import ORBIT_BLOCK_CELLS, Weight, WeightedTranslation
+from .translation import Weight, WeightedTranslation
 from .young import YoungFunction
 
 VERDICT_VERIFIED = "verified"
@@ -243,32 +248,42 @@ class ConditionReport:
 # orbit tables
 
 
-class _OrbitTables:
-    """The ``log_tables`` of every operator over the sorted points of K:
-    fwd[l] and bwd[l] for operator l.  Operators with equal weights share
-    one pair, as deep as the deepest of them needs; a weight of depth 0
-    gets none.
-    """
+def _orbit_tables(scenario: Scenario, columns) -> dict:
+    """The ``log_tables`` of every operator over the sorted points of K,
+    keyed by (direction, l), for operator l as deep as the largest
+    k * max(t_max, 1) * n_max of the column terms that read it.  Equal
+    weights share one pair, as deep as the deepest needs; an operator no
+    term reads gets none."""
+    depths = [0] * scenario.L
+    for c in columns:
+        for _, _, l, k in c.terms:
+            depths[l] = max(depths[l], k * max(c.t_max, 1) * scenario.n_max)
+    units = scenario.K.units
+    if len(units) * max(depths) > _MAX_TABLE_CELLS:
+        raise ScenarioError(
+            f"orbit table of {len(units)} x {max(depths)} cells exceeds the desk-scale cap"
+        )
+    weights, tables = scenario.weights, {}
+    for l, w in enumerate(weights):
+        sharing = [k for k, v in enumerate(weights) if v == w]  # Weight is unhashable
+        d = max(depths[k] for k in sharing)
+        if ("fwd", l) in tables or d == 0:
+            continue
+        fwd, bwd = scenario.operator(l).log_tables(units, d)
+        for k in sharing:
+            tables["fwd", k], tables["bwd", k] = fwd, bwd
+    return tables
 
-    def __init__(self, scenario: Scenario, depths):
-        units = scenario.K.units
-        n_pts = len(units)
-        max_depth = max(depths)
-        if n_pts * max_depth > _MAX_TABLE_CELLS:
-            raise ScenarioError(
-                f"orbit table of {n_pts} x {max_depth} cells exceeds the desk-scale cap"
-            )
-        weights = scenario.weights
-        self.fwd = [None] * scenario.L
-        self.bwd = [None] * scenario.L
-        for l, w in enumerate(weights):
-            sharing = [k for k, v in enumerate(weights) if v == w]  # Weight is unhashable
-            d = max(depths[k] for k in sharing)
-            if self.fwd[l] is not None or d == 0:
-                continue
-            tables = scenario.operator(l).log_tables(units, d)
-            for k in sharing:
-                self.fwd[k], self.bwd[k] = tables
+
+def _exp_sum(tables, terms, n):
+    """exp of the sum of ``terms`` at sweep index n, taken in order: each
+    term (sign, direction, l, k) is sign * tables[direction, l][:, k * n].
+    n is one index or an array of them; an array adds its axes to the row.
+    This is the one reader of the log tables."""
+    total = 0.0
+    for sign, direction, l, k in terms:
+        total = (np.add if sign > 0 else np.subtract)(total, tables[direction, l][:, k * n])
+    return np.exp(total)
 
 
 # ---------------------------------------------------------------------------
@@ -276,55 +291,51 @@ class _OrbitTables:
 
 
 class _Column(NamedTuple):
-    """One sup quantity: ``values(tables, n)`` is its row over the points
-    of K, or its (trace, accept) rows when not ``exact``.  n is one index
-    or an array of them; for an array each row gains one column per n.
-    ``reads`` maps each operator whose table it reads to the deepest index
-    read, per n.  A name stands for one formula; the sweep evaluates it
-    once per n."""
+    """One sup quantity as a signed sum of log-table reads: ``values(tables,
+    n)`` is ``_exp_sum`` of ``terms``, a row over the points of K.  With
+    ``t_max`` it is the chaos series of its forward and backward terms,
+    each summed at t * n, t = 1..t_max, plus its own certified geometric
+    tail (the two decay at their own rates, and the ratio of their sum
+    understates the slower one); ``values`` then gives (trace, accept)
+    rows, a point accepted only when both tails are certified.  A name
+    stands for one formula; the sweep evaluates it once per n."""
 
     name: str
-    reads: dict
-    values: Callable
-    exact: bool = True
+    terms: tuple
+    t_max: int = 0
+
+    def values(self, tables, n):
+        if not self.t_max:
+            return _exp_sum(tables, self.terms, n)
+        fwd, bwd = _series_terms(tables, self.terms, n, self.t_max)
+        fwd_ok, fwd_tail = _geometric_tail(fwd)
+        bwd_ok, bwd_tail = _geometric_tail(bwd)
+        trace = np.sum(fwd + bwd, axis=-1) + fwd_tail + bwd_tail
+        return trace, np.where(fwd_ok & bwd_ok, trace, np.inf)
 
 
 def _fwd(r, l) -> _Column:
-    return _Column(f"fwd_{l + 1}", {l: r[l]}, lambda t, n: np.exp(t.fwd[l][:, r[l] * n]))
+    return _Column(f"fwd_{l + 1}", ((1, "fwd", l, r[l]),))
 
 
 def _bwd(r, l) -> _Column:
-    return _Column(f"bwd_{l + 1}", {l: r[l]}, lambda t, n: np.exp(-t.bwd[l][:, r[l] * n]))
+    return _Column(f"bwd_{l + 1}", ((-1, "bwd", l, r[l]),))
 
 
 def _cross(r, s, l) -> list:
     """The cross quantities of the operator pair s < l."""
-
-    def cross_bwd(t, n):
-        gap = (r[l] - r[s]) * n
-        return np.exp(-t.bwd[s][:, gap] - t.bwd[l][:, r[l] * n] + t.bwd[s][:, r[l] * n])
-
-    def cross_fwd(t, n):
-        gap = (r[l] - r[s]) * n
-        return np.exp(t.fwd[l][:, gap] - t.bwd[s][:, r[s] * n] + t.bwd[l][:, r[s] * n])
-
-    pair = f"s{s + 1}_l{l + 1}"
-    reads = {s: r[l], l: r[l]}
-    return [
-        _Column(f"cross_bwd_{pair}", reads, cross_bwd),
-        _Column(f"cross_fwd_{pair}", reads, cross_fwd),
-    ]
+    pair, gap = f"s{s + 1}_l{l + 1}", r[l] - r[s]
+    bwd = ((-1, "bwd", s, gap), (-1, "bwd", l, r[l]), (1, "bwd", s, r[l]))
+    fwd = ((1, "fwd", l, gap), (-1, "bwd", s, r[s]), (1, "bwd", l, r[s]))
+    return [_Column(f"cross_bwd_{pair}", bwd), _Column(f"cross_fwd_{pair}", fwd)]
 
 
 def _gap(r, s, l) -> list:
     """The cross quantities of s < l when both share one weight: plain
     cocycles at the power gap."""
-    pair = f"s{s + 1}_l{l + 1}"
-    k = r[l] - r[s]
-    return [
-        _Column(f"gap_bwd_{pair}", {0: k}, lambda t, n: np.exp(-t.bwd[0][:, k * n])),
-        _Column(f"gap_fwd_{pair}", {0: k}, lambda t, n: np.exp(t.fwd[0][:, k * n])),
-    ]
+    pair, gap = f"s{s + 1}_l{l + 1}", r[l] - r[s]
+    bwd, fwd = ((-1, "bwd", 0, gap),), ((1, "fwd", 0, gap),)
+    return [_Column(f"gap_bwd_{pair}", bwd), _Column(f"gap_fwd_{pair}", fwd)]
 
 
 def _pairwise_columns(scenario, pair) -> tuple:
@@ -348,39 +359,15 @@ def _geometric_tail(terms):
     return certified, np.where(certified & (last > 0), last * rho / (1.0 - rho), 0.0)
 
 
-def _series_terms(fwd, bwd, steps, t_max):
-    """exp of the log tables fwd and -bwd at t * steps, t = 1..t_max (the
-    last axis): the series terms; ``steps`` is one step or an array."""
-    idx = np.multiply.outer(steps, np.arange(1, t_max + 1))
-    return np.exp(fwd[:, idx]), np.exp(-bwd[:, idx])
-
-
-def _series_quantities(tables, l, r_l, n, t_max):
-    """(trace, accept) for the chaos series of operator l, at one n or at
-    an array of n (then one column per n).
-
-    The forward and backward terms are two series with their own decay
-    rates, so each gets its own ratio and tail; the ratio of their sum
-    understates the slower one.  A point is accepted only when both tails
-    are certified.
-    """
-    fwd, bwd = _series_terms(tables.fwd[l], tables.bwd[l], r_l * n, t_max)
-    trunc = np.sum(fwd + bwd, axis=-1)
-    fwd_ok, fwd_tail = _geometric_tail(fwd)
-    bwd_ok, bwd_tail = _geometric_tail(bwd)
-    trace = trunc + fwd_tail + bwd_tail
-    accept = np.where(fwd_ok & bwd_ok, trace, np.inf)
-    return trace, accept
+def _series_terms(tables, terms, n, t_max):
+    """Each term's series at t * n, t = 1..t_max (the last axis)."""
+    idx = np.multiply.outer(n, np.arange(1, t_max + 1))
+    return [_exp_sum(tables, (term,), idx) for term in terms]
 
 
 def _series(scenario, l) -> _Column:
-    r_l, t_max = scenario.powers[l], scenario.t_max
-    return _Column(
-        f"series_{l + 1}",
-        {l: t_max * r_l},
-        lambda t, n: _series_quantities(t, l, r_l, n, t_max),
-        exact=False,
-    )
+    r = scenario.powers
+    return _Column(f"series_{l + 1}", _fwd(r, l).terms + _bwd(r, l).terms, scenario.t_max)
 
 
 def _chaos_columns(scenario, l) -> tuple:
@@ -451,24 +438,21 @@ def _select_e(worst, eps: float, budget: int):
 def _sweep(scenario, conditions):
     """Run n = 1..n_max once for all conditions over one table build.
 
-    Each column is read once for a whole block of n; a block holds at most
-    ORBIT_BLOCK_CELLS cells per array (|K| x n x t_max for a series), or
-    one n when that alone is more.  Its accept values fold into each
-    condition's worst value per point, ``_select_e`` chooses E_n for the
-    block from those, and a trace cell is the column's max over E_n.
+    Each column's sum of table reads (``_exp_sum``) is taken once for a
+    whole block of n; a block holds at most translation.ORBIT_BLOCK_CELLS
+    cells per array (|K| x n x t_max for a series), or one n when that
+    alone is more.  Its accept values fold into each condition's worst
+    value per point, ``_select_e`` chooses E_n for the block from those,
+    and a trace cell is the column's max over E_n.
     Returns (verdict, n_star, None, rows) for each condition.
     """
     columns = {c.name: c for cond in conditions for c in cond.columns}
-    depths = [0] * scenario.L
-    for c in columns.values():
-        for l, k in c.reads.items():
-            depths[l] = max(depths[l], k * scenario.n_max)
-    tables = _OrbitTables(scenario, depths)
+    tables = _orbit_tables(scenario, columns.values())
     n_pts, n_max = len(scenario.K), scenario.n_max
     mass = scenario.model.haar_cell_mass
     budget = int(math.floor(min(scenario.e_deficit_cap / mass + 1e-9, n_pts - 1)))
-    width = max((scenario.t_max for c in columns.values() if not c.exact), default=1)
-    block = max(1, ORBIT_BLOCK_CELLS // (n_pts * width))
+    width = max(max(c.t_max, 1) for c in columns.values())
+    block = max(1, translation.ORBIT_BLOCK_CELLS // (n_pts * width))
     owned = [{c.name for c in cond.columns} for cond in conditions]
     out = [([], []) for _ in conditions]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -477,7 +461,7 @@ def _sweep(scenario, conditions):
             tops, traces, worst = {}, {}, [None] * len(conditions)
             for name, c in columns.items():
                 v = c.values(tables, ns)
-                trace, accept = (v, v) if c.exact else v
+                trace, accept = v if c.t_max else (v, v)
                 tops[name] = np.max(trace, axis=0)
                 # only a budget lets E_n differ from K; without one, holding
                 # a block's columns only puts each block on fresh pages
@@ -712,10 +696,11 @@ def build_periodic_point(
         )
     model = op.model
     if epsilon is not None and t_max >= 1:
-        # the numbers the chaos sweep reads: its tables at depth t_max * n, summed alike
-        tables = op.log_tables(E.units, t_max * n)
+        # the chaos sweep's tables and series terms at power 1, without the tails
+        tables = dict(zip([("fwd", 0), ("bwd", 0)], op.log_tables(E.units, t_max * n)))
+        terms = _fwd((1,), 0).terms + _bwd((1,), 0).terms
         with np.errstate(over="ignore"):
-            series = np.sum(np.add(*_series_terms(*tables, n, t_max)), axis=-1)
+            series = np.sum(np.add(*_series_terms(tables, terms, n, t_max)), axis=-1)
         worst = float(np.max(series, initial=0.0))
         if not worst < epsilon:
             raise NotChaoticAtNError(

@@ -23,6 +23,8 @@ import numpy as np
 
 CONJUGATE_BRACKET_CAP = 1e6
 INVERSE_REL_TOL = 1e-12
+# a custom grid must reach this value to stand in for phi -> infinity
+DIVERGENCE_FLOOR = 1.0
 
 
 class YoungFunctionError(Exception):
@@ -229,11 +231,11 @@ class CustomYoung(YoungFunction):
 
     The grid must start at (0, 0), be strictly increasing in t,
     nondecreasing and positive in phi for t > 0, and have nondecreasing
-    slopes (convexity of the interpolant).  ``divergence_floor`` rejects
-    grids whose end value is too small to stand in for phi -> infinity.
+    slopes (convexity of the interpolant), and end at DIVERGENCE_FLOOR
+    or above.
     """
 
-    def __init__(self, samples, divergence_floor: float = 1.0):
+    def __init__(self, samples):
         ts = np.asarray([s[0] for s in samples], dtype=np.float64)
         ys = np.asarray([s[1] for s in samples], dtype=np.float64)
         if len(ts) < 3 or not np.isfinite([ts, ys]).all():
@@ -248,9 +250,9 @@ class CustomYoung(YoungFunction):
         tol = 1e-9 * (1.0 + float(ys[-1]))
         if np.any(np.diff(slopes) < -tol):
             raise InvalidParameterError("custom grid is not convex")
-        if ys[-1] < divergence_floor:
+        if ys[-1] < DIVERGENCE_FLOOR:
             raise InvalidParameterError(
-                f"phi(t_max)={ys[-1]} below the divergence floor {divergence_floor}"
+                f"phi(t_max)={ys[-1]} below the divergence floor {DIVERGENCE_FLOOR}"
             )
         self.grid_t = ts
         self.grid_y = ys

@@ -195,11 +195,7 @@ def select_e(accept_matrix: np.ndarray, eps: float, budget: int):
 
 def sweep(scenario, conditions):
     columns = {c.name: c for cond in conditions for c in cond.columns}
-    depths = [0] * scenario.L
-    for c in columns.values():
-        for l, k in c.reads.items():
-            depths[l] = max(depths[l], k * scenario.n_max)
-    tables = dynamics._OrbitTables(scenario, depths)
+    tables = dynamics._orbit_tables(scenario, columns.values())
     mass = scenario.model.haar_cell_mass
     budget = int(math.floor(scenario.e_deficit_cap / mass + 1e-9))
     out = [([], []) for _ in conditions]
@@ -208,7 +204,7 @@ def sweep(scenario, conditions):
             values = {}
             for name, c in columns.items():
                 v = c.values(tables, n)
-                values[name] = (v, v) if c.exact else v
+                values[name] = v if c.t_max else (v, v)
             for cond, (rows, oks) in zip(conditions, out):
                 accept = np.vstack([values[c.name][1] for c in cond.columns])
                 ok, keep, dropped = select_e(accept, scenario.epsilon, budget)

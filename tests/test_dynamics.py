@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from samples import ALL_MODELS
 from orliczdyn import _accel, dynamics
 from orliczdyn.dynamics import (
     CheckerDisagreementError,
@@ -227,6 +228,62 @@ class TestSameWeight:
         assert rep.verdict == VERDICT_REFUSED and "differ" in rep.reason
 
 
+def scalar_cells(scenario, n):
+    """Every fwd, bwd, cross and gap quantity at n: the sup over K of
+    products of the operators' scalar ``cocycle_fwd``/``cocycle_bwd``."""
+    r, ops, K = scenario.powers, scenario.operators(), list(scenario.K)
+    memo = {}
+
+    def c(direction, l, k):
+        if (direction, l, k) not in memo:
+            cocycle = ops[l].cocycle_fwd if direction == "fwd" else ops[l].cocycle_bwd
+            memo[direction, l, k] = np.array([cocycle(k * n, x) for x in K])
+        return memo[direction, l, k]
+
+    cells = {}
+    for l in range(scenario.L):
+        cells[f"fwd_{l + 1}"] = c("fwd", l, r[l])
+        cells[f"bwd_{l + 1}"] = c("bwd", l, r[l])
+        for s in range(l):
+            pair, gap = f"s{s + 1}_l{l + 1}", r[l] - r[s]
+            cells[f"cross_bwd_{pair}"] = c("bwd", s, gap) * c("bwd", l, r[l]) / c("bwd", s, r[l])
+            cells[f"cross_fwd_{pair}"] = c("fwd", l, gap) * c("bwd", s, r[s]) / c("bwd", l, r[s])
+            cells[f"gap_bwd_{pair}"] = c("bwd", 0, gap)
+            cells[f"gap_fwd_{pair}"] = c("fwd", 0, gap)
+    return {name: float(np.max(v)) for name, v in cells.items()}
+
+
+@pytest.mark.parametrize("powers", [(1, 3, 4), (2, 3, 5)])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+def test_three_operator_cells_match_scalar_cocycles(model, powers):
+    """Distinct weights and power gaps unequal to every power, so a term
+    that reads the wrong operator or the wrong index shows."""
+    hw = (1 if model.dim == 3 else 2) * model.h
+    distinct = (
+        ClampExpWeight(base=2.0, coord=0, lo=-1.0, hi=1.0),
+        ClampExpWeight(base=3.0, coord=model.dim - 1, lo=-0.5, hi=1.0),
+        ConstantWeight(1.5),
+    )
+    cases = [(distinct, check_disjoint_transitive), (distinct[:1] * 3, check_same_weight)]
+    for weights, check in cases:
+        s = Scenario(
+            model=model,
+            phi=PowerYoung(2.0),
+            a=model.element_units([1, 2, 1][: model.dim]),
+            weights=weights,
+            powers=powers,
+            K=CompactSet.box(model, [-hw] * model.dim, [hw] * model.dim),
+            epsilon=1e-3,
+            n_max=6,
+        )
+        rep = check(s, override=True)
+        assert len(rep.columns) == 12
+        for n in (1, 2, 6):
+            want = scalar_cells(s, n)
+            for col in rep.columns:
+                assert rep.value(n, col) == pytest.approx(want[col], rel=1e-10), (col, n)
+
+
 def oscillating_weight(n_max=48):
     # blocks of eight 1/2s then eight 2s along the forward orbit: the
     # forward cocycle at 0 returns to 1 at every multiple of 16
@@ -337,13 +394,14 @@ class TestChaotic:
         for x in (-6, -1, 0, 3):
             s = z_scenario(eps=1.0, n_max=3, weights=(w,), powers=(1,), t_max=8)
             s = dataclasses.replace(s, K=CompactSet.from_elements(ZLINE, [ZLINE.element([x])]))
-            tables = dynamics._OrbitTables(s, [3 * s.t_max])
+            series = dynamics._series(s, 0)
+            tables = dynamics._orbit_tables(s, [series])
             for n in (1, 2, 3):
                 steps = np.arange(1, terms * n + 1)
                 fwd = np.cumsum(-np.clip(x + steps, lo, hi) * math.log(2.0))[n - 1 :: n]
                 bwd = np.cumsum(np.clip(x + 1 - steps, lo, hi) * math.log(2.0))[n - 1 :: n]
                 long_sum = np.sum(np.exp(fwd)) + np.sum(np.exp(bwd))
-                trace, accept = dynamics._series_quantities(tables, 0, 1, n, s.t_max)
+                trace, accept = series.values(tables, n)
                 if np.isfinite(accept[0]):
                     assert accept[0] >= long_sum * (1 - 1e-12)
                     checked += 1

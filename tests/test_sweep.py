@@ -8,8 +8,8 @@ byte for byte, at deficit budgets of 0 and above, at the default block
 size and at one small enough to split n_max into several blocks.
 ``WeightedTranslation.log_tables`` fills its tables in column blocks and
 must match one cumsum over whole rows bit for bit.  Small blocks are
-patched where each loop reads them: the sweep's in ``dynamics``, the
-table build's in ``translation``.
+patched in ``translation``, where both the sweep and the table build
+read them.
 """
 
 import dataclasses
@@ -99,7 +99,6 @@ def engine_and_reference(monkeypatch, check, scenario, override):
 @pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
 def test_modes_match_reference(monkeypatch, model, rule, cells):
     if cells:
-        monkeypatch.setattr(dynamics, "ORBIT_BLOCK_CELLS", cells)
         monkeypatch.setattr(translation, "ORBIT_BLOCK_CELLS", cells)
     rng = np.random.default_rng([ALL_MODELS.index(model), RULES.index(rule)])
     caps = np.random.default_rng([ALL_MODELS.index(model), RULES.index(rule), 1])
@@ -117,6 +116,17 @@ def test_modes_match_reference(monkeypatch, model, rule, cells):
                 assert got == want, (mode, override, s.e_deficit_cap)
 
 
+def fake_column(name, fn, t_max=0):
+    """A test fake of a column: its one term sets the table depth, and
+    ``values`` is ``fn``; a series probe (t_max > 0) gives (trace, accept)."""
+
+    class Probe(_Column):
+        def values(self, tables, n):
+            return fn(tables, n)
+
+    return Probe(name, ((1, "fwd", 0, 1),), t_max)
+
+
 def probe_column(sizes):
     """fwd_1 with NaN at point 1 when 7 | n and inf at point 0 when 4 | n;
     records the number of n it is read for.  fwd_1 is first below
@@ -125,17 +135,17 @@ def probe_column(sizes):
     def values(t, n):
         n = np.asarray(n)
         sizes.append(n.size)
-        v = np.exp(t.fwd[0][:, n])
+        v = np.exp(t["fwd", 0][:, n])
         point = np.arange(len(v)).reshape((-1,) + (1,) * n.ndim)
         v = np.where((point == 1) & (n % 7 == 0), np.nan, v)
         return np.where((point == 0) & (n % 4 == 0), np.inf, v)
 
-    return _Column("probe", {0: 1}, values)
+    return fake_column("probe", values)
 
 
 def probe_series(t, n):
     """(trace, accept) with NaN in accept only, at every point when 5 | n."""
-    trace = np.exp(-t.bwd[0][:, np.asarray(n)])
+    trace = np.exp(-t["bwd", 0][:, np.asarray(n)])
     return trace, np.where(np.asarray(n) % 5 == 0, np.nan, trace)
 
 
@@ -153,10 +163,10 @@ def test_nan_and_inf_columns_in_uneven_blocks(monkeypatch):
         n_max=24,
     )
     # 7 points and a series column at t_max 50: blocks of 5 n, the last of 4
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK_CELLS", 7 * 5 * 50)
+    monkeypatch.setattr(translation, "ORBIT_BLOCK_CELLS", 7 * 5 * 50)
     sizes = []
     fwd = _fwd(scenario.powers, 0)
-    series = _Column("probe_series", {0: 1}, probe_series, exact=False)
+    series = fake_column("probe_series", probe_series, scenario.t_max)
     probe = probe_column(sizes)
     conditions = [
         _Condition((fwd, probe), (0,)),
@@ -220,9 +230,9 @@ def test_budget_ties_nan_and_clamp_in_uneven_blocks(monkeypatch, cells):
         e_deficit_cap=cells * 0.25,
     )
     # 5 points and a series column at t_max 8: blocks of 3 n, the last of 1
-    monkeypatch.setattr(dynamics, "ORBIT_BLOCK_CELLS", 5 * 3 * 8)
-    a, b = _Column("a", {0: 1}, probe_a), _Column("b", {0: 1}, probe_b)
-    s = _Column("s", {0: 1}, probe_s, exact=False)
+    monkeypatch.setattr(translation, "ORBIT_BLOCK_CELLS", 5 * 3 * 8)
+    a, b = fake_column("a", probe_a), fake_column("b", probe_b)
+    s = fake_column("s", probe_s, scenario.t_max)
     conditions = [
         _Condition((a, b, s), (0,)),
         _Condition((a, b, s), (0,), tail=True),

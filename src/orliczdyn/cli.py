@@ -14,7 +14,9 @@ with a message that names it (``weights[1].entries``, ``young.p``).
 the per-n trace CSV.
 
 The configs of one call run on a thread pool of one worker per CPU, at
-most one per config.
+most one per config.  Each writes to ``--out`` (one config) or to
+``--out/<stem>``; a call whose configs share a stem exits 1 before
+running any of them, and so does an empty ``--format``.
 """
 
 from __future__ import annotations
@@ -309,13 +311,19 @@ def main(argv=None) -> int:
         )
     args = parser.parse_args(argv)
     formats = {f.strip() for f in args.format.split(",") if f.strip()}
-    if not formats <= {"json", "csv"}:
-        print(f"error: field 'format' must be a subset of json,csv, got {args.format!r}")
+    if not formats or not formats <= {"json", "csv"}:
+        print(f"error: field 'format' must name json, csv or both, got {args.format!r}")
         return 1
     if args.command == "trace":
         formats = {"csv"}
     configs = args.config
     outs = [args.out if len(configs) == 1 else args.out / cfg.stem for cfg in configs]
+    first = {}
+    for cfg, out in zip(configs, outs):
+        if out in first:
+            print(f"error: configs {first[out]} and {cfg} would both write {out}")
+            return 1
+        first[out] = cfg
     with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(configs))) as pool:
         codes = list(pool.map(
             lambda cfg, out: _run_one(cfg, out, formats, args.override_diagnostics), configs, outs

@@ -42,14 +42,14 @@ The cocycles come from one log-table engine, the operator's
 ``WeightedTranslation.log_tables``: cumulative sums of each weight
 rule's ``Weight.orbit_logs`` along the orbit walks of T and S, read at
 n and exponentiated, which keeps long products exact to ~1e-13
-relative.  The sweep reads them over K.  The epsilon check of
-``build_periodic_point`` reads them over E at depth t_max * n through
-the sweep's series gather, ``_series_terms``, so it sums the terms the
-``chaotic`` sweep sums, but compares the truncated sum alone: the
-sweep's ``series_l`` cell adds each direction's geometric tail.  Its
-disjointness test is the aperiodicity scan of a^n over E up to 2 t_max,
-projection cap included.  The scalar ``cocycle_fwd``/``cocycle_bwd`` of
-the operator are the oracle the tests hold these tables to.
+relative.  ``_orbit_tables`` is the one builder of them: the sweep reads
+them over K, and the epsilon check of ``build_periodic_point`` reads the
+``series`` column of its operator over E at its n, so it accepts exactly
+where the ``chaotic`` sweep's ``series_1`` cell would, tails included.
+Its disjointness test is the aperiodicity scan of a^n over E up to
+2 t_max, projection cap included.  The scalar ``cocycle_fwd`` and
+``cocycle_bwd`` of the operator are the oracle the tests hold these
+tables to.
 """
 
 from __future__ import annotations
@@ -248,28 +248,27 @@ class ConditionReport:
 # orbit tables
 
 
-def _orbit_tables(scenario: Scenario, columns) -> dict:
-    """The ``log_tables`` of every operator over the sorted points of K,
-    keyed by (direction, l), for operator l as deep as the largest
-    k * max(t_max, 1) * n_max of the column terms that read it.  Equal
-    weights share one pair, as deep as the deepest needs; an operator no
-    term reads gets none."""
-    depths = [0] * scenario.L
+def _orbit_tables(ops, units, columns, n_max) -> dict:
+    """The ``log_tables`` of the operators ``ops`` over the rows of an
+    (N, d) units array, keyed by (direction, l), for operator l as deep as
+    the largest k * max(t_max, 1) * n_max of the column terms that read it.
+    Equal operators share one pair, as deep as the deepest needs; an
+    operator no term reads gets none."""
+    depths = [0] * len(ops)
     for c in columns:
         for _, _, l, k in c.terms:
-            depths[l] = max(depths[l], k * max(c.t_max, 1) * scenario.n_max)
-    units = scenario.K.units
+            depths[l] = max(depths[l], k * max(c.t_max, 1) * n_max)
     if len(units) * max(depths) > _MAX_TABLE_CELLS:
         raise ScenarioError(
             f"orbit table of {len(units)} x {max(depths)} cells exceeds the desk-scale cap"
         )
-    weights, tables = scenario.weights, {}
-    for l, w in enumerate(weights):
-        sharing = [k for k, v in enumerate(weights) if v == w]  # Weight is unhashable
+    tables = {}
+    for l, op in enumerate(ops):
+        sharing = [k for k, o in enumerate(ops) if o == op]  # Weight is unhashable
         d = max(depths[k] for k in sharing)
         if ("fwd", l) in tables or d == 0:
             continue
-        fwd, bwd = scenario.operator(l).log_tables(units, d)
+        fwd, bwd = op.log_tables(units, d)
         for k in sharing:
             tables["fwd", k], tables["bwd", k] = fwd, bwd
     return tables
@@ -307,7 +306,8 @@ class _Column(NamedTuple):
     def values(self, tables, n):
         if not self.t_max:
             return _exp_sum(tables, self.terms, n)
-        fwd, bwd = _series_terms(tables, self.terms, n, self.t_max)
+        idx = np.multiply.outer(n, np.arange(1, self.t_max + 1))
+        fwd, bwd = (_exp_sum(tables, (term,), idx) for term in self.terms)
         fwd_ok, fwd_tail = _geometric_tail(fwd)
         bwd_ok, bwd_tail = _geometric_tail(bwd)
         trace = np.sum(fwd + bwd, axis=-1) + fwd_tail + bwd_tail
@@ -350,28 +350,23 @@ def _pairwise_columns(scenario, pair) -> tuple:
 
 def _geometric_tail(terms):
     """(certified, tail) of a series from the ratio of its last two terms
-    (the last axis of ``terms``): the tail is certified when that ratio is
-    below the cap (or the last term is 0), and is then
-    last * rho / (1 - rho), else 0."""
-    last, prev = terms[..., -1], terms[..., -2]
+    (the last axis of ``terms``; a missing previous term counts as 0): the
+    tail is certified when that ratio is below the cap (or the last term
+    is 0), and is then last * rho / (1 - rho), else 0."""
+    last = terms[..., -1]
+    prev = terms[..., -2] if terms.shape[-1] > 1 else np.zeros_like(last)
     rho = np.where(prev > 0, last / np.where(prev > 0, prev, 1.0), np.inf)
     certified = (rho < _TAIL_RATIO_CAP) | (last == 0.0)
     return certified, np.where(certified & (last > 0), last * rho / (1.0 - rho), 0.0)
 
 
-def _series_terms(tables, terms, n, t_max):
-    """Each term's series at t * n, t = 1..t_max (the last axis)."""
-    idx = np.multiply.outer(n, np.arange(1, t_max + 1))
-    return [_exp_sum(tables, (term,), idx) for term in terms]
-
-
-def _series(scenario, l) -> _Column:
-    r = scenario.powers
-    return _Column(f"series_{l + 1}", _fwd(r, l).terms + _bwd(r, l).terms, scenario.t_max)
+def _series(r, l, t_max) -> _Column:
+    return _Column(f"series_{l + 1}", _fwd(r, l).terms + _bwd(r, l).terms, t_max)
 
 
 def _chaos_columns(scenario, l) -> tuple:
-    return (_fwd(scenario.powers, l), _bwd(scenario.powers, l), _series(scenario, l))
+    r = scenario.powers
+    return (_fwd(r, l), _bwd(r, l), _series(r, l, scenario.t_max))
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +442,8 @@ def _sweep(scenario, conditions):
     Returns (verdict, n_star, None, rows) for each condition.
     """
     columns = {c.name: c for cond in conditions for c in cond.columns}
-    tables = _orbit_tables(scenario, columns.values())
     n_pts, n_max = len(scenario.K), scenario.n_max
+    tables = _orbit_tables(scenario.operators(), scenario.K.units, columns.values(), n_max)
     mass = scenario.model.haar_cell_mass
     budget = int(math.floor(min(scenario.e_deficit_cap / mass + 1e-9, n_pts - 1)))
     width = max(max(c.t_max, 1) for c in columns.values())
@@ -603,7 +598,7 @@ def check_disjoint_chaotic(scenario: Scenario, override: bool = False) -> Condit
     if scenario.t_max < 8:
         raise ScenarioError("chaos checks need truncation depth t_max >= 8", "t_max")
     L = scenario.L
-    series = tuple(_series(scenario, l) for l in range(L))
+    series = tuple(_series(scenario.powers, l, scenario.t_max) for l in range(L))
     combined = _Condition(_pairwise_columns(scenario, _cross) + series, range(L))
     singles = [_Condition(_chaos_columns(scenario, l), (l,)) for l in range(L)]
     cert, (result, *single_results) = _run(scenario, [combined, *singles], override)
@@ -683,8 +678,8 @@ def build_periodic_point(
     t_max leaves the residual T^{(t_max+1)n}(f chi_E) - S^{t_max n}(f chi_E),
     whose norm is bounded by the reported tail bound.  The translates
     E a^{mn} must be pairwise disjoint for |m| <= t_max; when epsilon is
-    given, the cocycle series of f's operator at this n must already be
-    below it on E.
+    given, the ``chaotic`` sweep's ``series_1`` cell at this n and t_max
+    over E, tails included, must already be below it.
     """
     if n < 1 or t_max < 0:
         raise DynamicsError("need n >= 1 and t_max >= 0")
@@ -696,12 +691,12 @@ def build_periodic_point(
         )
     model = op.model
     if epsilon is not None and t_max >= 1:
-        # the chaos sweep's tables and series terms at power 1, without the tails
-        tables = dict(zip([("fwd", 0), ("bwd", 0)], op.log_tables(E.units, t_max * n)))
-        terms = _fwd((1,), 0).terms + _bwd((1,), 0).terms
-        with np.errstate(over="ignore"):
-            series = np.sum(np.add(*_series_terms(tables, terms, n, t_max)), axis=-1)
-        worst = float(np.max(series, initial=0.0))
+        # the chaotic sweep's series_1 cell over E at this n, tails included
+        series = _series((1,), 0, t_max)
+        tables = _orbit_tables((op,), E.units, [series], n)
+        with np.errstate(all="ignore"):
+            _, accept = series.values(tables, n)
+        worst = float(np.max(accept, initial=0.0))
         if not worst < epsilon:
             raise NotChaoticAtNError(
                 f"cocycle series {worst} not below epsilon={epsilon} at n={n}"

@@ -311,13 +311,17 @@ class WeightedTranslation:
         on the depth.  Each table fills in column blocks of ORBIT_BLOCK_CELLS
         cells, and each block's cumsum starts from the sum carried over, so
         the sums are those of one cumsum over the row, bit for bit, and the
-        build holds one block of log-weights beside the tables.
+        build holds one block of log-weights beside the tables.  Each walk
+        is checked before its blocks, so one that leaves a lattice raises
+        OffLatticeError for every rule, the clamp kernel's too.
         """
         block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
         tables = []
         for inverse in (False, True):
             step, first = self._walk(inverse)
             table = np.zeros((len(units), depth + 1))
+            if depth:  # a lattice walk leaves the lattice at its step 1 or 2 or never
+                self.model.orbit_units(units, step, [min(depth - 1 + first, 2)])
             for c in range(0, depth, block):
                 js = np.arange(c, min(c + block, depth)) + first
                 logs = self.weight.orbit_logs(self.model, units, step, js)

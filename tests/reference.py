@@ -10,13 +10,16 @@ tests hold the array walks to them bit for bit.
 ``WeightedTranslation`` folded into one walk, as they were (with
 ``math.log(w(x))`` for the removed ``Weight.log_value``): each states its
 own direction, and the backward loop still makes the unused point
-x * a^-n, which may leave a lattice.  ``log_tables`` is the one cumsum
-over whole rows that the blocked ``WeightedTranslation.log_tables``
-replaced; it states the direction rule literally, apart from the
-operator's ``_walk``.  ``sweep`` is the engine's sweep one n at a time,
-and ``select_e`` chooses E_n at one n from every accept row of a
-condition; ``dynamics._sweep`` and ``dynamics._select_e`` replaced them
-with one blocked sweep that chooses E_n for a block of n at once.
+x * a^-n, which may leave a lattice.  ``series_bound`` is the chaos
+series with its geometric tails, from the operator's scalar cocycles;
+the epsilon check of ``build_periodic_point`` compares it.
+``log_tables`` is the one cumsum over whole rows that the blocked
+``WeightedTranslation.log_tables`` replaced; it states the direction
+rule literally, apart from the operator's ``_walk``.  ``sweep`` is the
+engine's sweep one n at a time, and ``select_e`` chooses E_n at one n
+from every accept row of a condition; ``dynamics._sweep`` and
+``dynamics._select_e`` replaced them with one blocked sweep that
+chooses E_n for a block of n at once.
 """
 
 import math
@@ -98,13 +101,7 @@ def build_periodic_point(op, phi, f, E, n, t_max, epsilon=None):
                 f"translates of E by powers of a^{n} are not pairwise disjoint"
             )
     if epsilon is not None and t_max >= 1:
-        worst = 0.0
-        for x in E:
-            s = sum(
-                op.cocycle_fwd(t * n, x) + op.cocycle_bwd(t * n, x)
-                for t in range(1, t_max + 1)
-            )
-            worst = max(worst, s)
+        worst = max((series_bound(op, n, t_max, x) for x in E), default=0.0)
         if not worst < epsilon:
             raise NotChaoticAtNError(
                 f"cocycle series {worst} not below epsilon={epsilon} at n={n}"
@@ -123,6 +120,26 @@ def build_periodic_point(op, phi, f, E, n, t_max, epsilon=None):
     fwd_beyond = apply(op, cur, n)
     tail_bound = fwd_beyond.luxemburg_norm(phi) + bwd_last.luxemburg_norm(phi)
     return PeriodicPointResult(point=p, tail_bound=tail_bound, n=n, t_max=t_max)
+
+
+def series_bound(op, n, t_max, x):
+    """The chaos series at x: the forward and backward cocycles at t * n,
+    t = 1..t_max, and for each direction the geometric tail
+    last * rho / (1 - rho), rho the ratio of its last two terms (a missing
+    one is 0); inf when some rho is not below 0.99 and its last term is
+    not 0."""
+    total = 0.0
+    for cocycle in (op.cocycle_fwd, op.cocycle_bwd):
+        terms = [0.0] + [cocycle(t * n, x) for t in range(1, t_max + 1)]
+        total += sum(terms)
+        last, prev = terms[-1], terms[-2]
+        if last == 0.0:
+            continue
+        rho = last / prev if prev > 0 else math.inf
+        if not rho < 0.99:
+            return math.inf
+        total += last * rho / (1.0 - rho)
+    return total
 
 
 def cocycle_fwd(op, n, x):
@@ -195,7 +212,9 @@ def select_e(accept_matrix: np.ndarray, eps: float, budget: int):
 
 def sweep(scenario, conditions):
     columns = {c.name: c for cond in conditions for c in cond.columns}
-    tables = dynamics._orbit_tables(scenario, columns.values())
+    tables = dynamics._orbit_tables(
+        scenario.operators(), scenario.K.units, columns.values(), scenario.n_max
+    )
     mass = scenario.model.haar_cell_mass
     budget = int(math.floor(scenario.e_deficit_cap / mass + 1e-9))
     out = [([], []) for _ in conditions]

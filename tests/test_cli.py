@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -544,6 +548,26 @@ class TestCheck:
         code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o"), "--format", "xml"])
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", [",", ""])
+    def test_empty_format_exit_1(self, tmp_path, capsys, fmt):
+        code, out = run_cli(tmp_path, z_config(), extra=("--format", fmt))
+        assert code == 1
+        assert "field 'format'" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("twice", [True, False], ids=["same_file", "same_stem"])
+    def test_colliding_outputs_exit_1(self, tmp_path, capsys, twice):
+        # both would write out/cfg, the last writer winning: refuse before running
+        c1 = tmp_path / "cfg.json"
+        c1.write_text(json.dumps(z_config()))
+        c2 = c1 if twice else tmp_path / "b" / "cfg.json"
+        c2.parent.mkdir(exist_ok=True)
+        c2.write_text(json.dumps(z_config(a=[0])))
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(c1), str(c2), "--out", str(out)]) == 1
+        assert f"configs {c1} and {c2}" in capsys.readouterr().out
+        assert not out.exists()
+
     def test_multiple_configs(self, tmp_path, capsys):
         c1 = tmp_path / "one.json"
         c1.write_text(json.dumps(z_config()))
@@ -689,3 +713,17 @@ class TestDeterminism:
         main(["check", "--config", str(cfg), "--out", str(out2)])
         assert (out2 / "report.json").read_bytes() == first_json
         assert (out2 / "trace.csv").read_bytes() == first_csv
+
+
+def test_module_entry_point(tmp_path):
+    """`python -m orliczdyn check` runs the CLI in a fresh interpreter."""
+    cfg = tmp_path / "line.json"
+    cfg.write_text(json.dumps(z_config()))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "orliczdyn", "check", "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    verdict = "verified: mode=disjoint_transitive n_star=14 config=line.json"
+    assert proc.stdout.startswith(verdict)
+    assert (out / "report.json").exists() and (out / "trace.csv").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -284,6 +285,57 @@ def test_three_operator_cells_match_scalar_cocycles(model, powers):
                 assert rep.value(n, col) == pytest.approx(want[col], rel=1e-10), (col, n)
 
 
+def line_slopes(weights, r):
+    """Each transitivity column's log slope in n once the orbit is past every
+    clamp window, by hand from w_+ = base^-hi and w_- = base^-lo (Salas 1995;
+    Grosse-Erdmann 2000): a bilateral weighted shift whose weight is w_+ near
+    +inf and w_- near -inf."""
+    up = [-w.hi * math.log(w.base) for w in weights]  # log w_{l,+}
+    down = [-w.lo * math.log(w.base) for w in weights]  # log w_{l,-}
+    slopes = {}
+    for l in range(len(r)):
+        slopes[f"fwd_{l + 1}"] = r[l] * up[l]
+        slopes[f"bwd_{l + 1}"] = -r[l] * down[l]
+        for s in range(l):
+            pair = f"s{s + 1}_l{l + 1}"
+            slopes[f"cross_fwd_{pair}"] = (
+                (r[l] - r[s]) * up[l] - r[s] * down[s] + r[s] * down[l]
+            )
+            slopes[f"cross_bwd_{pair}"] = r[s] * down[s] - r[l] * down[l]
+    return slopes
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_line_cells_are_geometric_past_the_window(seed):
+    """On int_line with a = 1 and one point x, each clamp_exp weight is
+    constant past its window, so every column is exp(A + slope n) once the
+    orbit of x has left all windows in both directions."""
+    rng = np.random.default_rng([20, seed])
+    L = int(rng.integers(2, 4))
+    powers = tuple(sorted(int(r) for r in rng.choice(np.arange(1, 6), L, replace=False)))
+    weights = []
+    for l in range(L):
+        lo = float(rng.uniform(-2.0, 1.0))
+        base = float(rng.uniform(0.5, 0.9) if l % 2 else rng.uniform(1.1, 2.0))  # both sides of 1
+        weights.append(ClampExpWeight(base, 0, lo, lo + float(rng.uniform(0.2, 2.0))))
+    x = int(rng.integers(-4, 5))
+    # the factor x + j (forward) and x - j (backward) of step j >= onset is clamped
+    onset = max(1, *(math.ceil(max(w.hi - x, x - w.lo)) for w in weights))
+    s = z_scenario(n_max=onset + 15, weights=tuple(weights), powers=powers)
+    s = dataclasses.replace(s, K=CompactSet.from_elements(ZLINE, [ZLINE.element([x])]))
+    rep = check_disjoint_transitive(s, override=True)
+    slopes = line_slopes(weights, powers)
+    assert sorted(slopes) == sorted(rep.columns)
+    checked = 0
+    for col, slope in slopes.items():
+        for n in range(onset, s.n_max):
+            a, b = rep.value(n, col), rep.value(n + 1, col)
+            if all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in (a, b)):
+                assert b / a == pytest.approx(math.exp(slope), rel=1e-12), (col, n)
+                checked += 1
+    assert checked >= 10 * len(slopes)
+
+
 def oscillating_weight(n_max=48):
     # blocks of eight 1/2s then eight 2s along the forward orbit: the
     # forward cocycle at 0 returns to 1 at every multiple of 16
@@ -384,6 +436,14 @@ class TestChaotic:
         exact = fwd + r / (1.0 - r)  # 78.6355...
         assert rep.value(1, "series_1") == pytest.approx(exact, rel=1e-11)
         assert rep.verdict == VERDICT_NOT_VERIFIED
+        # the periodic point's epsilon check reads this cell, so it refuses
+        # epsilon = 50 too, though the truncated series alone is below 50
+        op, x = s.operator(0), ZLINE.element([-6])
+        assert sum(op.cocycle_fwd(t, x) + op.cocycle_bwd(t, x) for t in range(1, 9)) < 50
+        with pytest.raises(NotChaoticAtNError) as got:
+            build_periodic_point(op, s.phi, indicator(s.K), s.K, 1, 8, epsilon=50.0)
+        cell = rep.value(1, "series_1")
+        assert str(got.value).startswith(f"cocycle series {cell} not below epsilon=50.0")
 
     @pytest.mark.parametrize("lo,hi", [(-0.02, 2.0), (-0.5, 0.5), (-2.0, 0.01), (-1.0, 3.0)])
     def test_certified_series_bounds_long_sum(self, lo, hi):
@@ -394,8 +454,8 @@ class TestChaotic:
         for x in (-6, -1, 0, 3):
             s = z_scenario(eps=1.0, n_max=3, weights=(w,), powers=(1,), t_max=8)
             s = dataclasses.replace(s, K=CompactSet.from_elements(ZLINE, [ZLINE.element([x])]))
-            series = dynamics._series(s, 0)
-            tables = dynamics._orbit_tables(s, [series])
+            series = dynamics._series(s.powers, 0, s.t_max)
+            tables = dynamics._orbit_tables(s.operators(), s.K.units, [series], s.n_max)
             for n in (1, 2, 3):
                 steps = np.arange(1, terms * n + 1)
                 fwd = np.cumsum(-np.clip(x + steps, lo, hi) * math.log(2.0))[n - 1 :: n]

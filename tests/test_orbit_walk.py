@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,9 @@ from orliczdyn.dynamics import (
     DisjointnessViolatedError,
     DynamicsError,
     NotChaoticAtNError,
+    Scenario,
     build_periodic_point,
+    check_chaotic,
 )
 from orliczdyn.group import CompactSet, GroupError, GroupModel, OffLatticeError, _h_fraction
 from orliczdyn.orlicz import OrliczVector, indicator
@@ -361,9 +364,12 @@ def test_cocycle_bwd_makes_no_point_past_its_factors():
             reference.cocycle_bwd(op, 1, x)
         assert op.cocycle_bwd(1, x) == 1.0 / weight(x)
     assert WeightedTranslation(model, a, ConstantWeight(2.0)).cocycle_bwd(1, x) == 0.5
-    # the clamp kernel's tables make no group products, so they reach x a here too
-    _, bwd = op.log_tables(model.units_array([x]), 1)
-    assert op.cocycle_bwd(1, x) == pytest.approx(np.exp(-bwd[0, 1]), rel=1e-14)
+    # the tables' forward walk makes x a, whose twist 1 * 1 * h leaves the
+    # lattice: every rule refuses it, the clamp kernel's too
+    for weight in (ConstantWeight(2.0), weights(model)["clamp_exp"]):
+        op = WeightedTranslation(model, a, weight)
+        with pytest.raises(OffLatticeError, match=re.escape("1*1*h")):
+            op.log_tables(model.units_array([x]), 1)
 
 
 def worst_of(exc) -> float:
@@ -385,8 +391,9 @@ def test_not_chaotic_at_n_matches_reference():
 
 @pytest.mark.parametrize("model,name", CASES, ids=CASE_IDS)
 def test_not_chaotic_decision_matches_reference(model, name):
-    """Epsilon a hair below and above the reference's worst series: both
-    engines raise below and build above."""
+    """Epsilon a hair below and above the reference's worst series, tails
+    included: both engines raise below and build above.  Where a tail is
+    not certified, both raise at every finite epsilon."""
     a = model.element_units([3, 2, 1][: model.dim])  # moves x by 3: E's translates stay apart
     op = WeightedTranslation(model, a, weights(model)[name])
     E = CompactSet.from_elements(
@@ -394,17 +401,58 @@ def test_not_chaotic_decision_matches_reference(model, name):
     )
     f = indicator(E)
     for n, t_max in [(1, 8), (2, 20), (7, 12), (9, 8), (65, 2)]:
-        worst = max(
-            sum(op.cocycle_fwd(t * n, x) + op.cocycle_bwd(t * n, x) for t in range(1, t_max + 1))
-            for x in E
-        )
-        for epsilon, raises in [(worst * (1 - 1e-9), True), (worst * (1 + 1e-9), False)]:
+        worst = max(reference.series_bound(op, n, t_max, x) for x in E)
+        cases = [(worst * (1 - 1e-9), True), (worst * (1 + 1e-9), False)]
+        for epsilon, raises in cases if math.isfinite(worst) else [(sys.float_info.max, True)]:
             for build in (reference.build_periodic_point, build_periodic_point):
                 if raises:
                     with pytest.raises(NotChaoticAtNError):
                         build(op, PHI, f, E, n, t_max, epsilon=epsilon)
                 else:
                     build(op, PHI, f, E, n, t_max, epsilon=epsilon)
+
+
+def random_weight(model, name, rng):
+    if name == "constant":
+        return ConstantWeight(float(rng.uniform(0.3, 3.0)))
+    if name == "clamp_exp":
+        lo = float(rng.uniform(-3.0, 0.5))  # lo < 0 < hi mostly: both tails can certify
+        hi = float(rng.uniform(lo + 0.1, 3.0))
+        base = float(rng.choice([rng.uniform(0.2, 0.8), rng.uniform(1.25, 4.0)], p=[0.25, 0.75]))
+        return ClampExpWeight(base, int(rng.integers(model.dim)), lo, hi)
+    keys = rng.integers(-6, 7, size=(30, model.dim))
+    table = {tuple(k): float(v) for k, v in zip(keys.tolist(), rng.uniform(0.2, 3.0, 30))}
+    return TableWeight(table, default=float(rng.uniform(0.3, 3.0)))
+
+
+@pytest.mark.parametrize("model,name", CASES, ids=CASE_IDS)
+def test_periodic_epsilon_is_the_chaotic_series_cell(model, name):
+    """The periodic point refuses epsilon exactly when the series_1 cell of
+    check_chaotic over K = E, at the same n and t_max, is not below it, or
+    when a tail there is not certified (the reference's series is inf);
+    a refusal names that cell's value, bit for bit."""
+    rng = np.random.default_rng([19, CASES.index((model, name))])
+    for _ in range(8):
+        a = random_element(model, rng, span=4).units
+        a = (int(rng.choice([-3, 3])),) + a[1:]  # E's translates stay apart
+        a = model.element_units(a)
+        points = [random_element(model, rng, span=2).units[1:] for _ in range(3)]
+        E = CompactSet.from_elements(
+            model, [model.element_units((u,) + p) for u, p in zip((-1, 0, 1), points)]
+        )
+        op = WeightedTranslation(model, a, random_weight(model, name, rng))
+        n, t_max = int(rng.integers(1, 5)), int(rng.integers(8, 21))
+        s = Scenario(model, PHI, a, (op.weight,), (1,), E, 1.0, n, t_max)
+        cell = check_chaotic(s, override=True).value(n, "series_1")
+        certified = all(math.isfinite(reference.series_bound(op, n, t_max, x)) for x in E)
+        epsilons = [cell * (1 - 1e-9), cell, cell * (1 + 1e-9), sys.float_info.max]
+        for epsilon in epsilons if math.isfinite(cell) else epsilons[-1:]:
+            if certified and cell < epsilon:
+                build_periodic_point(op, PHI, indicator(E), E, n, t_max, epsilon=epsilon)
+                continue
+            with pytest.raises(NotChaoticAtNError) as got:
+                build_periodic_point(op, PHI, indicator(E), E, n, t_max, epsilon=epsilon)
+            assert worst_of(got.value) == (cell if certified else math.inf)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])

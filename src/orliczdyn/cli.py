@@ -66,8 +66,13 @@ def _field(doc: dict, name: str, caster, default=None, required=True):
         if required:
             raise ConfigError(f"field '{name}' is missing")
         return default
+    return _cast(name, caster, doc[key])
+
+
+def _cast(name: str, caster, value):
+    """``caster(value)``; a failure exits naming the field ``name``."""
     try:
-        return caster(doc[key])
+        return caster(value)
     except ConfigError:
         raise
     except Exception as exc:
@@ -186,7 +191,7 @@ def _build(doc, name: str, tag: str, schema: dict):
     """The object that the document ``name`` describes: its field ``tag``
     picks a row of ``schema``, whose casters read the constructor's
     keyword arguments."""
-    doc = _object(doc)
+    doc = _cast(name, _object, doc)
     choice = _field(doc, f"{name}.{tag}", str)
     if choice not in schema:
         raise ConfigError(f"field '{name}.{tag}' must be one of {tuple(schema)}, got {choice!r}")
@@ -200,9 +205,20 @@ def _build(doc, name: str, tag: str, schema: dict):
 
 def _parse_witness(doc: dict, scenario: Scenario) -> dict:
     """{"n": int >= 1 or None, "f": vector, "targets": vectors}; f and each
-    target default to the indicator of K."""
+    target default to the indicator of K.  An n whose walks, |K| points of
+    r_l n steps, exceed the desk-scale cap of the sweep's tables is refused;
+    the sweep's own n_star never is."""
     wdoc = _field(doc, "witness", _object, default={}, required=False)
     model, K, L = scenario.model, scenario.K, scenario.L
+
+    def walk(n):
+        steps = len(K) * max(scenario.powers) * _positive_int(n)
+        if steps > dynamics._MAX_TABLE_CELLS:
+            raise ValueError(
+                f"walks of {steps} point steps exceed the desk-scale cap of "
+                f"{dynamics._MAX_TABLE_CELLS}"
+            )
+        return n
 
     def vector(entries):
         v = OrliczVector.from_arrays(model, *unit_entries(entries, model.dim))
@@ -213,10 +229,10 @@ def _parse_witness(doc: dict, scenario: Scenario) -> dict:
     def targets(ts):
         if len(ts) not in (0, L):
             raise ValueError(f"need one target per operator ({L}) or none, got {len(ts)}")
-        return [vector(t) for t in ts]
+        return [_cast(f"witness.targets[{i}]", vector, t) for i, t in enumerate(ts)]
 
     return {
-        "n": _field(wdoc, "witness.n", _positive_int, required=False),
+        "n": _field(wdoc, "witness.n", walk, required=False),
         "f": _field(wdoc, "witness.f", vector, OrliczVector.indicator(K), required=False),
         "targets": _field(
             wdoc,

@@ -9,12 +9,16 @@ Every checker mode is a condition swept by one engine.  A condition is
   epsilon on K (or on a subset E_n chosen by the deficit policy), or for
   mixing the start of the last unbroken run of such n up to n_max.
 
-A call makes one aperiodicity scan, builds one table per distinct weight
-as deep as its columns read, and sweeps n = 1..n_max once.  The
-disjoint-chaos sub-verdicts and the same-weight cross-check are extra
-conditions over the same tables.  The conditions are limit statements,
-so a failed sweep is reported as "not verified within bound", never as
-a disproof.
+A checker is its conditions and one ``_run`` call, which makes one
+aperiodicity scan, builds one table per distinct weight as deep as its
+columns read, sweeps n = 1..n_max once and hands back one finished
+report per condition.  The disjoint-chaos sub-verdicts and the
+same-weight cross-check are extra conditions over the same tables.
+Each precondition is refused once, by the builder of the columns that
+need it: ``_pairwise_columns`` refuses one operator (field ``weights``)
+and ``_chaos_columns`` a truncation depth below 8 (field ``t_max``).
+The conditions are limit statements, so a failed sweep is reported as
+"not verified within bound", never as a disproof.
 
 The sweep reads every column once for a whole block of n.  E_n is all
 of K unless some point violates at n and the deficit budget
@@ -42,10 +46,12 @@ The cocycles come from one log-table engine, the operator's
 ``WeightedTranslation.log_tables``: cumulative sums of each weight
 rule's ``Weight.orbit_logs`` along the orbit walks of T and S, read at
 n and exponentiated, which keeps long products exact to ~1e-13
-relative.  ``_orbit_tables`` is the one builder of them: the sweep reads
-them over K, and the epsilon check of ``build_periodic_point`` reads the
-``series`` column of its operator over E at its n, so it accepts exactly
-where the ``chaotic`` sweep's ``series_1`` cell would, tails included.
+relative.  ``_orbit_tables`` is the one builder of them, and refuses a
+build whose tables hold more than ``_MAX_TABLE_CELLS`` cells in all: the
+sweep reads them over K, and the epsilon check of
+``build_periodic_point`` reads the ``series`` column of its operator
+over E at its n, so it accepts exactly where the ``chaotic`` sweep's
+``series_1`` cell would, tails included, and a refusal names that cell.
 Its disjointness test is the aperiodicity scan of a^n over E up to
 2 t_max, projection cap included.  The scalar ``cocycle_fwd`` and
 ``cocycle_bwd`` of the operator are the oracle the tests hold these
@@ -55,7 +61,7 @@ tables to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -139,14 +145,18 @@ class Scenario:
             b <= a for a, b in zip(self.powers, self.powers[1:])
         ):
             raise ScenarioError("powers must be strictly increasing and >= 1", "powers")
-        if self.a.model != self.model or self.K.model != self.model:
-            raise ScenarioError("element / set belong to a different group model")
+        if self.a.model != self.model:
+            raise ScenarioError("a belongs to a different group model", "a")
+        if self.K.model != self.model:
+            raise ScenarioError("K belongs to a different group model", "K")
         if not self.K.measure > 0:
             raise ScenarioError("K must have positive measure", "K")
         if not self.epsilon > 0:
             raise ScenarioError("epsilon must be positive", "epsilon")
-        if self.n_max < 1 or self.t_max < 1:
-            raise ScenarioError("n_max and t_max must be >= 1")
+        if self.n_max < 1:
+            raise ScenarioError("n_max must be >= 1", "n_max")
+        if self.t_max < 1:
+            raise ScenarioError("t_max must be >= 1", "t_max")
         if not self.e_deficit_cap >= 0:  # NaN too
             raise ScenarioError("deficit cap must be nonnegative", "e_deficit_cap")
         if self.e_deficit_cap > 0 and not self.model.is_lattice:
@@ -253,22 +263,28 @@ def _orbit_tables(ops, units, columns, n_max) -> dict:
     (N, d) units array, keyed by (direction, l), for operator l as deep as
     the largest k * max(t_max, 1) * n_max of the column terms that read it.
     Equal operators share one pair, as deep as the deepest needs; an
-    operator no term reads gets none."""
+    operator no term reads gets none.  The two (N, depth + 1) tables of
+    every pair count against the desk-scale cap, refused as ``n_max``."""
     depths = [0] * len(ops)
     for c in columns:
         for _, _, l, k in c.terms:
             depths[l] = max(depths[l], k * max(c.t_max, 1) * n_max)
-    if len(units) * max(depths) > _MAX_TABLE_CELLS:
-        raise ScenarioError(
-            f"orbit table of {len(units)} x {max(depths)} cells exceeds the desk-scale cap"
-        )
-    tables = {}
+    builds = {}  # first operator of each distinct weight -> (its sharers, depth)
     for l, op in enumerate(ops):
         sharing = [k for k, o in enumerate(ops) if o == op]  # Weight is unhashable
         d = max(depths[k] for k in sharing)
-        if ("fwd", l) in tables or d == 0:
-            continue
-        fwd, bwd = op.log_tables(units, d)
+        if sharing[0] == l and d:
+            builds[l] = sharing, d
+    cells = sum(2 * len(units) * (d + 1) for _, d in builds.values())
+    if cells > _MAX_TABLE_CELLS:
+        raise ScenarioError(
+            f"orbit tables of {cells} cells ({len(units)} points, depths up to "
+            f"{max(depths)}) exceed the desk-scale cap of {_MAX_TABLE_CELLS}",
+            "n_max",
+        )
+    tables = {}
+    for l, (sharing, d) in builds.items():
+        fwd, bwd = ops[l].log_tables(units, d)
         for k in sharing:
             tables["fwd", k], tables["bwd", k] = fwd, bwd
     return tables
@@ -339,8 +355,11 @@ def _gap(r, s, l) -> list:
 
 
 def _pairwise_columns(scenario, pair) -> tuple:
-    """fwd_l and bwd_l of every operator, then ``pair(r, s, l)`` for s < l."""
+    """fwd_l and bwd_l of every operator, then ``pair(r, s, l)`` for s < l;
+    refuses a scenario of one operator."""
     r, L = scenario.powers, scenario.L
+    if L < 2:
+        raise ScenarioError("disjoint checks need at least two operators", "weights")
     cols = [_fwd(r, l) for l in range(L)] + [_bwd(r, l) for l in range(L)]
     for s in range(L):
         for l in range(s + 1, L):
@@ -365,6 +384,9 @@ def _series(r, l, t_max) -> _Column:
 
 
 def _chaos_columns(scenario, l) -> tuple:
+    """fwd_l, bwd_l and series_l; refuses a truncation depth below 8."""
+    if scenario.t_max < 8:
+        raise ScenarioError("chaos checks need truncation depth t_max >= 8", "t_max")
     r = scenario.powers
     return (_fwd(r, l), _bwd(r, l), _series(r, l, scenario.t_max))
 
@@ -493,13 +515,10 @@ def _verdict_n(oks, tail: bool):
     return k + 1 if k < len(oks) else None
 
 
-def _run(scenario, conditions, override):
-    """Refuse or sweep each condition; one aperiodicity scan in all.
-
-    Returns the aperiodicity certificate (None under override) and
-    (verdict, n_star, reason, rows) per condition.  Refused conditions add
-    nothing to the table build.
-    """
+def _run(mode, scenario, conditions, override) -> list:
+    """One ``ConditionReport`` per condition, each refused or swept; one
+    aperiodicity scan in all.  Refused conditions add nothing to the table
+    build."""
     cert = None
     if override:
         reasons = [None] * len(conditions)
@@ -509,21 +528,18 @@ def _run(scenario, conditions, override):
         reasons = [base or _weight_refusal(scenario, c.refuse_ops) for c in conditions]
     live = [c for c, reason in zip(conditions, reasons) if reason is None]
     swept = iter(_sweep(scenario, live) if live else ())
-    return cert, [(VERDICT_REFUSED, None, r, ()) if r else next(swept) for r in reasons]
+    meta = scenario.summary()
+    return [
+        _report(mode, cond, (VERDICT_REFUSED, None, r, ()) if r else next(swept), meta, cert)
+        for cond, r in zip(conditions, reasons)
+    ]
 
 
-def _report(mode, scenario, cond, result, sub_verdicts=(), cert=None) -> ConditionReport:
+def _report(mode, cond, result, meta, cert=None) -> ConditionReport:
+    """The report of ``cond`` from a (verdict, n_star, reason, rows) result."""
     verdict, n_star, reason, rows = result
     columns = tuple(c.name for c in cond.columns)
-    return ConditionReport(
-        mode, verdict, n_star, reason, columns, rows,
-        sub_verdicts=sub_verdicts, meta=scenario.summary(), aperiodicity=cert,
-    )
-
-
-def _check(mode, scenario, cond, override) -> ConditionReport:
-    cert, (result,) = _run(scenario, [cond], override)
-    return _report(mode, scenario, cond, result, cert=cert)
+    return ConditionReport(mode, verdict, n_star, reason, columns, rows, (), meta, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -536,19 +552,15 @@ def check_disjoint_transitive(scenario: Scenario, override: bool = False) -> Con
     Refuses (unless overridden) when the translation element is not
     certified aperiodic on K or some weight has sup at most 1.
     """
-    if scenario.L < 2:
-        raise ScenarioError("disjoint transitivity needs at least two operators", "weights")
     cond = _Condition(_pairwise_columns(scenario, _cross), range(scenario.L))
-    return _check("disjoint_transitive", scenario, cond, override)
+    return _run("disjoint_transitive", scenario, [cond], override)[0]
 
 
 def check_disjoint_mixing(scenario: Scenario, override: bool = False) -> ConditionReport:
     """Like the transitive check, but the condition must hold at every n
     of a tail window [n_tail, n_max]; n_star reports n_tail."""
-    if scenario.L < 2:
-        raise ScenarioError("disjoint mixing needs at least two operators", "weights")
     cond = _Condition(_pairwise_columns(scenario, _cross), range(scenario.L), tail=True)
-    return _check("disjoint_mixing", scenario, cond, override)
+    return _run("disjoint_mixing", scenario, [cond], override)[0]
 
 
 def check_same_weight(scenario: Scenario, override: bool = False) -> ConditionReport:
@@ -558,21 +570,19 @@ def check_same_weight(scenario: Scenario, override: bool = False) -> ConditionRe
     the general transitive columns are swept over the same tables and
     must agree (a built-in consistency assertion).
     """
-    if scenario.L < 2:
-        raise ScenarioError("the same-weight check needs at least two operators", "weights")
     ops = range(scenario.L)
     reduced = _Condition(_pairwise_columns(scenario, _gap), ops)
     w0 = scenario.weights[0]
     if any(w != w0 for w in scenario.weights[1:]):
         reason = "weights differ; the reduced check applies to one shared weight"
-        return _report("same_weight", scenario, reduced, (VERDICT_REFUSED, None, reason, ()))
+        refused = (VERDICT_REFUSED, None, reason, ())
+        return _report("same_weight", reduced, refused, scenario.summary())
     general = _Condition(_pairwise_columns(scenario, _cross), ops)
-    cert, (result, check) = _run(scenario, [reduced, general], override)
-    if check[:2] != result[:2]:
-        raise CheckerDisagreementError(
-            f"reduced ({result[0]}, {result[1]}) vs general ({check[0]}, {check[1]})"
-        )
-    return _report("same_weight", scenario, reduced, result, cert=cert)
+    result, check = _run("same_weight", scenario, [reduced, general], override)
+    got, want = (result.verdict, result.n_star), (check.verdict, check.n_star)
+    if got != want:
+        raise CheckerDisagreementError(f"reduced {got} vs general {want}")
+    return result
 
 
 def check_chaotic(scenario: Scenario, op_index: int = 0, override: bool = False) -> ConditionReport:
@@ -582,10 +592,8 @@ def check_chaotic(scenario: Scenario, op_index: int = 0, override: bool = False)
     truncated terms (ratio < 0.99 required)."""
     if not 0 <= op_index < scenario.L:
         raise ScenarioError(f"op_index {op_index} out of range")
-    if scenario.t_max < 8:
-        raise ScenarioError("chaos checks need truncation depth t_max >= 8", "t_max")
     cond = _Condition(_chaos_columns(scenario, op_index), (op_index,))
-    return _check("chaotic", scenario, cond, override)
+    return _run("chaotic", scenario, [cond], override)[0]
 
 
 def check_disjoint_chaotic(scenario: Scenario, override: bool = False) -> ConditionReport:
@@ -593,20 +601,15 @@ def check_disjoint_chaotic(scenario: Scenario, override: bool = False) -> Condit
     families below epsilon at a common n.  Per-operator chaos verdicts
     are attached as sub-verdicts; they are the `check_chaotic` conditions
     swept over the same tables."""
-    if scenario.L < 2:
-        raise ScenarioError("disjoint chaos needs at least two operators", "weights")
-    if scenario.t_max < 8:
-        raise ScenarioError("chaos checks need truncation depth t_max >= 8", "t_max")
     L = scenario.L
-    series = tuple(_series(scenario.powers, l, scenario.t_max) for l in range(L))
-    combined = _Condition(_pairwise_columns(scenario, _cross) + series, range(L))
+    cross = _pairwise_columns(scenario, _cross)
     singles = [_Condition(_chaos_columns(scenario, l), (l,)) for l in range(L)]
-    cert, (result, *single_results) = _run(scenario, [combined, *singles], override)
+    combined = _Condition(cross + tuple(c.columns[-1] for c in singles), range(L))
+    result, *singles = _run("disjoint_chaotic", scenario, [combined, *singles], override)
     sub = tuple(
-        {"op": l + 1, "verdict": verdict, "n_star": n_star}
-        for l, (verdict, n_star, _, _) in enumerate(single_results)
+        {"op": l + 1, "verdict": s.verdict, "n_star": s.n_star} for l, s in enumerate(singles)
     )
-    return _report("disjoint_chaotic", scenario, combined, result, sub, cert)
+    return replace(result, sub_verdicts=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +698,13 @@ def build_periodic_point(
         series = _series((1,), 0, t_max)
         tables = _orbit_tables((op,), E.units, [series], n)
         with np.errstate(all="ignore"):
-            _, accept = series.values(tables, n)
-        worst = float(np.max(accept, initial=0.0))
-        if not worst < epsilon:
+            trace, accept = series.values(tables, n)
+        if not np.max(accept, initial=0.0) < epsilon:
+            # accept is inf where a tail is not certified, trace the cell's terms
+            note = "; a tail is not certified" if (accept > trace).any() else ""
             raise NotChaoticAtNError(
-                f"cocycle series {worst} not below epsilon={epsilon} at n={n}"
+                f"cocycle series {float(np.max(trace, initial=0.0))} not below "
+                f"epsilon={epsilon} at n={n}{note}"
             )
     f_e = f.restrict(E)
     fwd_units, fwd = op.orbit(f_e, n, t_max + 1)

@@ -218,8 +218,12 @@ def unit_entries(entries, dim: int | None = None):
     """(units, values) of [key, value] pairs, sorted by key: ``unit_rows``
     of distinct lists or tuples of integers of one length (``dim`` if
     given), and float64 values of numbers.  Booleans are refused."""
+    try:
+        pairs = [(key, value) for key, value in entries]
+    except (TypeError, ValueError):
+        raise GroupError(f"expected a list of [key, value] pairs, got {entries!r}") from None
     keys, values = [], []
-    for key, value in entries:
+    for key, value in pairs:
         if not (isinstance(key, (list, tuple)) and key and all(
             type(u) is int or (isinstance(u, numbers.Integral) and not isinstance(u, bool))
             for u in key

@@ -165,15 +165,19 @@ class TestCheck:
             ({"f": [[1]]}, "'witness.f'"),
             ({"targets": [[[[0], 1.0]]]}, "'witness.targets'"),
             ({"f": [[[5], 1.0]]}, "'witness.f'"),
-            ({"targets": [[[[0], 1.0]], [[[3], 1.0]]]}, "'witness.targets'"),
+            ({"targets": [[[[0], 1.0]], [[[3], 1.0]]]}, "'witness.targets[1]'"),
             ({"f": [[[0.0], 1.0]]}, "'witness.f'"),
             ({"f": [[[False], 0.5]]}, "'witness.f'"),
             ({"f": [[[0], "2"]]}, "'witness.f'"),
             ({"f": [[[0], True]]}, "'witness.f'"),
             ({"f": [[[0], 1.0], [[0], 1.5]]}, "'witness.f'"),
-            ({"targets": [[[[0], 1.0]], [[[0], "1"]]]}, "'witness.targets'"),
-            ({"targets": [[[[0.0], 1.0]], [[[0], 1.0]]]}, "'witness.targets'"),
-            ({"targets": [[[[0], 1.0], [[0], -1.0]], [[[0], 1.0]]]}, "'witness.targets'"),
+            ({"targets": [[[[0], 1.0]], [[[0], "1"]]]}, "'witness.targets[1]'"),
+            ({"targets": [[[[0.0], 1.0]], [[[0], 1.0]]]}, "'witness.targets[0]'"),
+            ({"targets": [[[[0], 1.0], [[0], -1.0]], [[[0], 1.0]]]}, "'witness.targets[0]'"),
+            ({"targets": [5, 5]},
+             "'witness.targets[0]' is invalid: expected a list of [key, value] pairs"),
+            ({"n": 10**20}, "'witness.n'"),
+            ({"n": 10**12}, "'witness.n'"),
         ],
         ids=[
             "n_text",
@@ -193,6 +197,9 @@ class TestCheck:
             "target_value_text",
             "target_unit_fraction",
             "target_repeated_key",
+            "target_not_pairs",
+            "n_overflows",
+            "n_past_cap",
         ],
     )
     def test_malformed_witness_exit_1(self, tmp_path, capsys, witness, field):
@@ -282,6 +289,10 @@ class TestCheck:
             ({"weights": [STEP_W, dict(STEP_W, lo=1, hi=-1)]}, "'weights[1]' is invalid"),
             ({"group": {"kind": "lattice_line", "h": -1}}, "'group' is invalid"),
             ({"young": {"family": "power", "p": 0.5}}, "'young' is invalid"),
+            ({"weights": [5, 5]}, "'weights[0]' is invalid: expected an object, got 5"),
+            ({"K": {"ball": 1}}, "'K'"),
+            ({"a": 5}, "'a'"),
+            ({"n_max": 10**12}, "'n_max'"),
         ],
         ids=[
             "epsilon_bool",
@@ -319,12 +330,31 @@ class TestCheck:
             "clamp_window_refused",
             "h_refused",
             "p_refused",
+            "weight_not_object",
+            "K_neither_box_nor_points",
+            "a_not_list",
+            "n_max_past_cap",
         ],
     )
     def test_number_fields_exit_1(self, tmp_path, capsys, overrides, field):
         code, out = run_cli(tmp_path, z_config(**overrides))
         assert code == 1
         assert field in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_witness_n_at_the_cap_runs(self, tmp_path, capsys, monkeypatch):
+        # |K| = 1 and max power 2: witness.n = 100 walks 200 point steps; the
+        # sweep's two tables of 2 * n_max + 1 = 65 cells stay under the cap too
+        monkeypatch.setattr(dynamics, "_MAX_TABLE_CELLS", 200)
+        doc = z_config(mode="witness", K={"points": [[0]]}, witness={"n": 100})
+        code, out = run_cli(tmp_path, doc)
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["witness"]["n"] == 100
+        doc["witness"]["n"] = 101
+        (tmp_path / "past").mkdir()
+        code, out = run_cli(tmp_path / "past", doc)
+        assert code == 1
+        assert "field 'witness.n' is invalid" in capsys.readouterr().out
         assert not out.exists()
 
     def test_integer_valued_numbers_accepted(self, tmp_path):
@@ -443,7 +473,7 @@ class TestCheck:
             ({"mode": "witness", "witness": {"f": [[[0], math.nan]]}}, "witness.f"),
             ({"mode": "witness", "witness": {"f": [[[0], math.inf]]}}, "witness.f"),
             ({"mode": "witness", "witness": {"targets": [[[[0], -math.inf]], []]}},
-             "witness.targets"),
+             "witness.targets[0]"),
         ],
         ids=[
             "epsilon_inf",

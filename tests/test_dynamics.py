@@ -201,6 +201,64 @@ class TestRefusals:
         assert rep.value(5, "fwd_1") == 1.0
 
 
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            (dict(n_max=0), "n_max"),
+            (dict(t_max=0), "t_max"),
+            (dict(a=HEIS.element([1, 0, 0])), "a"),
+            (dict(K=CompactSet.box(HEIS, [0, 0, 0], [1, 1, 1])), "K"),
+        ],
+        ids=["n_max", "t_max", "a_model", "K_model"],
+    )
+    def test_scenario_refusals_name_their_field(self, change, field):
+        with pytest.raises(ScenarioError) as got:
+            dataclasses.replace(z_scenario(), **change)
+        assert got.value.field == field and field in str(got.value)
+
+
+class TestTableCap:
+    """The desk-scale cap counts the two (N, depth + 1) tables of every
+    distinct operator, the cells the build allocates, and names n_max."""
+
+    def built_cells(self, monkeypatch, run):
+        cells = []
+        log_tables = WeightedTranslation.log_tables
+
+        def counting_log_tables(op, units, depth):
+            tables = log_tables(op, units, depth)
+            cells.append(sum(t.size for t in tables))
+            return tables
+
+        with monkeypatch.context() as m:
+            m.setattr(WeightedTranslation, "log_tables", counting_log_tables)
+            run()
+        return sum(cells)
+
+    def assert_cap_is_tight(self, monkeypatch, run):
+        cells = self.built_cells(monkeypatch, run)
+        monkeypatch.setattr(dynamics, "_MAX_TABLE_CELLS", cells)
+        run()
+        monkeypatch.setattr(dynamics, "_MAX_TABLE_CELLS", cells - 1)
+        with pytest.raises(ScenarioError, match="desk-scale cap") as got:
+            run()
+        assert got.value.field == "n_max"
+
+    @pytest.mark.parametrize(
+        "weights", [(STEP, STEP), (STEP, ClampExpWeight(3.0, 0, -1.0, 1.0))], ids=["shared", "two"]
+    )
+    def test_sweep(self, monkeypatch, weights):
+        s = z_scenario(n_max=8, weights=weights)
+        self.assert_cap_is_tight(monkeypatch, lambda: check_disjoint_transitive(s, override=True))
+
+    def test_periodic_point(self, monkeypatch):
+        op, phi = WeightedTranslation(ZLINE, ZLINE.element([1]), STEP), PowerYoung(2.0)
+        K = CompactSet.box(ZLINE, [-3], [3])
+        self.assert_cap_is_tight(
+            monkeypatch, lambda: build_periodic_point(op, phi, indicator(K), K, 10, 20, 0.5)
+        )
+
+
 class TestSameWeight:
     def test_agrees_with_general(self):
         s = z_scenario()
@@ -285,13 +343,42 @@ def test_three_operator_cells_match_scalar_cocycles(model, powers):
                 assert rep.value(n, col) == pytest.approx(want[col], rel=1e-10), (col, n)
 
 
-def line_slopes(weights, r):
+LINES = (ZLINE, GroupModel.lattice_line(0.5), GroupModel.lattice_line(0.25))
+
+
+def line_weight(model, rng, u, family, log_down=None):
+    """A weight that is constant past a window around the point u (in lattice
+    units) of a line model, with log w_+ and log w_-, its values near +inf
+    and -inf, and the first n at which every factor step j >= n of the walks
+    from u (to u + j forward, u - j backward) is past the window.
+
+    ``table``: keys cover u - width..u + width, so w_+ = w_- = default.
+    ``decaying``: clamp_exp with log w_+ < 0 and log w_- = ``log_down``.
+    ``mixed``: clamp_exp with a base on either side of 1."""
+    if family == "table":
+        width = int(rng.integers(1, 4))
+        keys = [(k,) for k in range(u - width, u + width + 1)]
+        default = float(rng.choice([rng.uniform(0.3, 0.8), rng.uniform(1.25, 3.0)]))
+        w = TableWeight(dict(zip(keys, rng.uniform(0.3, 3.0, len(keys)).tolist())), default)
+        return w, math.log(default), math.log(default), width + 1
+    if family == "decaying":
+        base, hi = float(rng.uniform(1.5, 2.5)), float(rng.uniform(0.5, 2.0))
+        w = ClampExpWeight(base, 0, -log_down / math.log(base), hi)
+    else:
+        lo = float(rng.uniform(-2.0, 1.0))
+        base = float(rng.choice([rng.uniform(0.5, 0.9), rng.uniform(1.1, 2.0)]))
+        w = ClampExpWeight(base, 0, lo, lo + float(rng.uniform(0.2, 2.0)))
+    x = u * model.h
+    # + 1: (hi - x) / h may round below the step at which the clamp starts
+    onset = max(1, math.ceil(max(w.hi - x, x - w.lo) / model.h) + 1)
+    return w, -w.hi * math.log(w.base), -w.lo * math.log(w.base), onset
+
+
+def line_slopes(up, down, r):
     """Each transitivity column's log slope in n once the orbit is past every
-    clamp window, by hand from w_+ = base^-hi and w_- = base^-lo (Salas 1995;
-    Grosse-Erdmann 2000): a bilateral weighted shift whose weight is w_+ near
-    +inf and w_- near -inf."""
-    up = [-w.hi * math.log(w.base) for w in weights]  # log w_{l,+}
-    down = [-w.lo * math.log(w.base) for w in weights]  # log w_{l,-}
+    window, by hand from log w_+ (``up``) and log w_- (``down``) of each
+    weight (Salas 1995; Grosse-Erdmann 2000): a bilateral weighted shift whose
+    weight is w_+ near +inf and w_- near -inf."""
     slopes = {}
     for l in range(len(r)):
         slopes[f"fwd_{l + 1}"] = r[l] * up[l]
@@ -307,33 +394,68 @@ def line_slopes(weights, r):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_line_cells_are_geometric_past_the_window(seed):
-    """On int_line with a = 1 and one point x, each clamp_exp weight is
-    constant past its window, so every column is exp(A + slope n) once the
-    orbit of x has left all windows in both directions."""
-    rng = np.random.default_rng([20, seed])
-    L = int(rng.integers(2, 4))
-    powers = tuple(sorted(int(r) for r in rng.choice(np.arange(1, 6), L, replace=False)))
-    weights = []
-    for l in range(L):
-        lo = float(rng.uniform(-2.0, 1.0))
-        base = float(rng.uniform(0.5, 0.9) if l % 2 else rng.uniform(1.1, 2.0))  # both sides of 1
-        weights.append(ClampExpWeight(base, 0, lo, lo + float(rng.uniform(0.2, 2.0))))
-    x = int(rng.integers(-4, 5))
-    # the factor x + j (forward) and x - j (backward) of step j >= onset is clamped
-    onset = max(1, *(math.ceil(max(w.hi - x, x - w.lo)) for w in weights))
-    s = z_scenario(n_max=onset + 15, weights=tuple(weights), powers=powers)
-    s = dataclasses.replace(s, K=CompactSet.from_elements(ZLINE, [ZLINE.element([x])]))
-    rep = check_disjoint_transitive(s, override=True)
-    slopes = line_slopes(weights, powers)
-    assert sorted(slopes) == sorted(rep.columns)
-    checked = 0
-    for col, slope in slopes.items():
-        for n in range(onset, s.n_max):
-            a, b = rep.value(n, col), rep.value(n + 1, col)
-            if all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in (a, b)):
-                assert b / a == pytest.approx(math.exp(slope), rel=1e-12), (col, n)
-                checked += 1
-    assert checked >= 10 * len(slopes)
+    """On int_line and on lattice_line with a one cell, K one point: clamp_exp
+    and table weights are constant past their windows, so every column is
+    exp(A + slope n) once the orbit has left all windows in both directions.
+
+    Past that onset the verdict follows from the slopes alone.  When every
+    slope is negative, the n_star of an epsilon halfway (in log) between two
+    consecutive cells is predicted from the slopes and the cells at the
+    onset, which come from the scalar cocycles.  When a slope is positive,
+    that column never drops back below its value at the onset, so no
+    epsilon up to that value is verified."""
+    for i, model in enumerate(LINES):
+        rng = np.random.default_rng([20, seed, i])
+        family = ("decaying", "mixed", "table")[(seed + i) % 3]
+        L = int(rng.integers(2, 4))
+        powers = tuple(sorted(int(r) for r in rng.choice(np.arange(1, 6), L, replace=False)))
+        u, log_down = int(rng.integers(-4, 5)), float(rng.uniform(0.3, 1.5))
+        table_at = int(rng.integers(L)) if family == "table" else -1
+        drawn = [
+            line_weight(model, rng, u, "table" if l == table_at else family, log_down)
+            for l in range(L)
+        ]
+        weights, up, down, onsets = zip(*drawn)
+        onset = max(onsets)
+        K = CompactSet.from_elements(model, [model.element_units([u])])
+        s = Scenario(model, PowerYoung(2.0), model.element_units([1]), weights, powers, K,
+                     1e-2, onset + 15)
+        rep = check_disjoint_transitive(s, override=True)
+        slopes = line_slopes(up, down, powers)
+        assert sorted(slopes) == sorted(rep.columns)
+        checked = 0
+        for col, slope in slopes.items():
+            for n in range(onset, s.n_max):
+                a, b = rep.value(n, col), rep.value(n + 1, col)
+                if all(math.isfinite(v) and abs(v) >= sys.float_info.min for v in (a, b)):
+                    assert b / a == pytest.approx(math.exp(slope), rel=1e-12), (col, n, model)
+                    checked += 1
+        assert checked >= 10 * len(slopes)
+
+        # the largest cell of every n before the onset, which epsilon stays under
+        floor = min((max(rep.row(n)[1]) for n in range(1, onset)), default=math.inf)
+        at_onset = scalar_cells(s, onset)
+        rising = [col for col, slope in slopes.items() if slope > 0]
+        if family == "decaying":  # w_+ < 1 < w_- and one w_- for all: every slope < 0
+            assert not rising
+
+            def cell(n):
+                return max(at_onset[c] * math.exp(m * (n - onset)) for c, m in slopes.items())
+
+            n_star = onset + int(rng.integers(1, 6))
+            while cell(n_star - 1) > floor:  # an n before the onset would pass
+                n_star += 1
+            eps = math.sqrt(cell(n_star - 1) * cell(n_star))
+            got = check_disjoint_transitive(dataclasses.replace(s, epsilon=eps), override=True)
+            assert (got.verdict, got.n_star) == (VERDICT_VERIFIED, n_star), model
+        elif rising:
+            for col in rising:
+                start = rep.value(onset, col)
+                assert all(rep.value(n, col) >= start for n in range(onset, s.n_max + 1))
+            eps = min(floor, *(at_onset[col] for col in rising)) * (1 - 1e-9)
+            got = check_disjoint_transitive(dataclasses.replace(s, epsilon=eps), override=True)
+            assert got.verdict == VERDICT_NOT_VERIFIED, model
+        assert family != "table" or rising  # a table's fwd and bwd slopes differ in sign
 
 
 def oscillating_weight(n_max=48):

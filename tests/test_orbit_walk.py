@@ -385,7 +385,9 @@ def test_not_chaotic_at_n_matches_reference():
             reference.build_periodic_point(op, PHI, indicator(K), K, n, t_max, epsilon=1e-9)
         with pytest.raises(NotChaoticAtNError) as got:
             build_periodic_point(op, PHI, indicator(K), K, n, t_max, epsilon=1e-9)
+        # both tails certified, so the reference prints the series it compared;
         # the table engine sums exp(log sums), the reference products: ~1 ulp apart
+        assert math.isfinite(worst_of(want.value))
         assert worst_of(got.value) == pytest.approx(worst_of(want.value), rel=1e-12)
 
 
@@ -430,7 +432,8 @@ def test_periodic_epsilon_is_the_chaotic_series_cell(model, name):
     """The periodic point refuses epsilon exactly when the series_1 cell of
     check_chaotic over K = E, at the same n and t_max, is not below it, or
     when a tail there is not certified (the reference's series is inf);
-    a refusal names that cell's value, bit for bit."""
+    a refusal names that cell's value, bit for bit, and says "not
+    certified" exactly when a tail is not."""
     rng = np.random.default_rng([19, CASES.index((model, name))])
     for _ in range(8):
         a = random_element(model, rng, span=4).units
@@ -452,7 +455,8 @@ def test_periodic_epsilon_is_the_chaotic_series_cell(model, name):
                 continue
             with pytest.raises(NotChaoticAtNError) as got:
                 build_periodic_point(op, PHI, indicator(E), E, n, t_max, epsilon=epsilon)
-            assert worst_of(got.value) == (cell if certified else math.inf)
+            assert worst_of(got.value) == cell
+            assert ("not certified" in str(got.value)) == (not certified)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])

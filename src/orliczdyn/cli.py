@@ -86,7 +86,7 @@ def _parse_set(model: GroupModel, doc) -> CompactSet:
             model, _field(box, "K.box.lo", _coords), _field(box, "K.box.hi", _coords)
         )
     if isinstance(doc, dict) and "points" in doc:
-        points = _field(doc, "K.points", lambda ps: [model.element(_coords(c)) for c in ps])
+        points = _field(doc, "K.points", lambda ps: [model.element(_coords(c)) for c in _list(ps)])
         return CompactSet.from_elements(model, points)
     raise ConfigError("field 'K' must carry a 'box' or 'points' entry")
 
@@ -102,8 +102,8 @@ def parse_config(doc: dict):
     phi = _field(doc, "young", lambda d: _build(d, "young", "family", YOUNG))
     a = _field(doc, "a", lambda c: model.element(_coords(c)))
     weights = _field(doc, "weights", lambda ds: tuple(
-        _build(d, f"weights[{i}]", "rule", WEIGHTS) for i, d in enumerate(ds)))
-    powers = _field(doc, "powers", lambda rs: tuple(_positive_int(r) for r in rs))
+        _build(d, f"weights[{i}]", "rule", WEIGHTS) for i, d in enumerate(_list(ds))))
+    powers = _field(doc, "powers", lambda rs: tuple(_positive_int(r) for r in _list(rs)))
     K = _field(doc, "K", lambda d: _parse_set(model, d))
     epsilon = _field(doc, "epsilon", _number)
     n_max = _field(doc, "n_max", _positive_int)
@@ -137,11 +137,15 @@ def _number(value) -> float:
     return float(value)
 
 
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
 def _coords(value) -> list:
     """A list of JSON numbers, returned as given."""
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list of numbers, got {value!r}")
-    for c in value:
+    for c in _list(value):
         _number(c)
     return value
 
@@ -227,7 +231,7 @@ def _parse_witness(doc: dict, scenario: Scenario) -> dict:
         return v
 
     def targets(ts):
-        if len(ts) not in (0, L):
+        if len(_list(ts)) not in (0, L):
             raise ValueError(f"need one target per operator ({L}) or none, got {len(ts)}")
         return [_cast(f"witness.targets[{i}]", vector, t) for i, t in enumerate(ts)]
 
@@ -266,13 +270,24 @@ def run_scenario(mode: str, scenario: Scenario, witness_opts, override: bool):
     return report, extra
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float spelt as trace.csv spells it
+    ("inf", "-inf", "nan"), so that report.json stays strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "%.15g" % value
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def _write_outputs(outdir: Path, report: ConditionReport, extra: dict, formats):
     outdir.mkdir(parents=True, exist_ok=True)
     if "json" in formats:
-        doc = report.to_json_dict()
-        doc.update(extra)
+        doc = _strict_json({**report.to_json_dict(), **extra})
         (outdir / "report.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
     if "csv" in formats:
         (outdir / "trace.csv").write_text(report.trace_csv())

@@ -4,7 +4,6 @@ Every checker mode is a condition swept by one engine.  A condition is
 
 * a list of columns (``_Column``): sup quantities of the weight-product
   cocycles over the points of a finite compact set K;
-* the operators whose ``sup w <= 1`` refuses the run;
 * a verdict rule: the first n at which every column is strictly below
   epsilon on K (or on a subset E_n chosen by the deficit policy), or for
   mixing the start of the last unbroken run of such n up to n_max.
@@ -14,11 +13,13 @@ aperiodicity scan, builds one table per distinct weight as deep as its
 columns read, sweeps n = 1..n_max once and hands back one finished
 report per condition.  The disjoint-chaos sub-verdicts and the
 same-weight cross-check are extra conditions over the same tables.
-Each precondition is refused once, by the builder of the columns that
-need it: ``_pairwise_columns`` refuses one operator (field ``weights``)
-and ``_chaos_columns`` a truncation depth below 8 (field ``t_max``).
-The conditions are limit statements, so a failed sweep is reported as
-"not verified within bound", never as a disproof.
+A weight with sup w <= 1 refuses the conditions whose terms read its
+operator.  ``_pairwise_columns`` refuses one operator (field
+``weights``) and ``_chaos_columns`` a truncation depth below 8 (field
+``t_max``).  ``_report`` alone decides a verdict, from the sweep's
+(n_star, rows) or from a refusal's reason.  The conditions are limit
+statements, so a failed sweep is reported as "not verified within
+bound", never as a disproof.
 
 The sweep reads every column once for a whole block of n.  E_n is all
 of K unless some point violates at n and the deficit budget
@@ -47,8 +48,9 @@ The cocycles come from one log-table engine, the operator's
 rule's ``Weight.orbit_logs`` along the orbit walks of T and S, read at
 n and exponentiated, which keeps long products exact to ~1e-13
 relative.  ``_orbit_tables`` is the one builder of them, and refuses a
-build whose tables hold more than ``_MAX_TABLE_CELLS`` cells in all: the
-sweep reads them over K, and the epsilon check of
+build whose tables hold more than ``_MAX_TABLE_CELLS`` cells in all,
+naming ``t_max`` when only the series depth is at fault: the sweep reads
+them over K, and the epsilon check of
 ``build_periodic_point`` reads the ``series`` column of its operator
 over E at its n, so it accepts exactly where the ``chaotic`` sweep's
 ``series_1`` cell would, tails included, and a refusal names that cell.
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,31 +264,36 @@ def _orbit_tables(ops, units, columns, n_max) -> dict:
     """The ``log_tables`` of the operators ``ops`` over the rows of an
     (N, d) units array, keyed by (direction, l), for operator l as deep as
     the largest k * max(t_max, 1) * n_max of the column terms that read it.
-    Equal operators share one pair, as deep as the deepest needs; an
-    operator no term reads gets none.  The two (N, depth + 1) tables of
-    every pair count against the desk-scale cap, refused as ``n_max``."""
-    depths = [0] * len(ops)
-    for c in columns:
-        for _, _, l, k in c.terms:
-            depths[l] = max(depths[l], k * max(c.t_max, 1) * n_max)
-    builds = {}  # first operator of each distinct weight -> (its sharers, depth)
-    for l, op in enumerate(ops):
-        sharing = [k for k, o in enumerate(ops) if o == op]  # Weight is unhashable
-        d = max(depths[k] for k in sharing)
-        if sharing[0] == l and d:
-            builds[l] = sharing, d
-    cells = sum(2 * len(units) * (d + 1) for _, d in builds.values())
-    if cells > _MAX_TABLE_CELLS:
+    Equal operators share the pair of the first of them, as deep as the
+    deepest needs; an operator no term reads gets none.  The two (N,
+    depth + 1) tables of every pair count against the desk-scale cap; a
+    refusal names ``t_max`` when the build would fit with every series
+    truncated at min(t_max, 8), else ``n_max``."""
+    first = [ops.index(op) for op in ops]  # Weight is unhashable
+
+    def depths(t_cap) -> dict:
+        out = {}
+        for c in columns:
+            for _, _, l, k in c.terms:
+                d = k * max(min(c.t_max, t_cap), 1) * n_max
+                out[first[l]] = max(out.get(first[l], 0), d)
+        return out
+
+    def cells(ds) -> int:
+        return sum(2 * len(units) * (d + 1) for d in ds.values())
+
+    need = depths(math.inf)
+    if cells(need) > _MAX_TABLE_CELLS:
         raise ScenarioError(
-            f"orbit tables of {cells} cells ({len(units)} points, depths up to "
-            f"{max(depths)}) exceed the desk-scale cap of {_MAX_TABLE_CELLS}",
-            "n_max",
+            f"orbit tables of {cells(need)} cells ({len(units)} points, depths up to "
+            f"{max(need.values())}) exceed the desk-scale cap of {_MAX_TABLE_CELLS}",
+            "t_max" if cells(depths(8)) <= _MAX_TABLE_CELLS else "n_max",
         )
+    built = {f: ops[f].log_tables(units, d) for f, d in sorted(need.items())}
     tables = {}
-    for l, (sharing, d) in builds.items():
-        fwd, bwd = ops[l].log_tables(units, d)
-        for k in sharing:
-            tables["fwd", k], tables["bwd", k] = fwd, bwd
+    for l, f in enumerate(first):
+        if f in built:
+            tables["fwd", l], tables["bwd", l] = built[f]
     return tables
 
 
@@ -311,9 +318,9 @@ class _Column(NamedTuple):
     ``t_max`` it is the chaos series of its forward and backward terms,
     each summed at t * n, t = 1..t_max, plus its own certified geometric
     tail (the two decay at their own rates, and the ratio of their sum
-    understates the slower one); ``values`` then gives (trace, accept)
-    rows, a point accepted only when both tails are certified.  A name
-    stands for one formula; the sweep evaluates it once per n."""
+    understates the slower one), and accepts a point only when both tails
+    are certified.  ``values`` gives (trace, accept) rows, one row twice
+    for a plain column.  A name stands for one formula, read once per n."""
 
     name: str
     terms: tuple
@@ -321,7 +328,8 @@ class _Column(NamedTuple):
 
     def values(self, tables, n):
         if not self.t_max:
-            return _exp_sum(tables, self.terms, n)
+            v = _exp_sum(tables, self.terms, n)
+            return v, v
         idx = np.multiply.outer(n, np.arange(1, self.t_max + 1))
         fwd, bwd = (_exp_sum(tables, (term,), idx) for term in self.terms)
         fwd_ok, fwd_tail = _geometric_tail(fwd)
@@ -396,12 +404,11 @@ def _chaos_columns(scenario, l) -> tuple:
 
 
 class _Condition(NamedTuple):
-    """Columns, the operators whose sup w <= 1 refuses the run, and the
-    verdict rule: the first ok n, or with ``tail`` the start of the last
-    unbroken run of ok n."""
+    """Columns and the verdict rule: the first ok n, or with ``tail`` the
+    start of the last unbroken run of ok n.  A weight with sup w <= 1 of
+    an operator that the columns' terms read refuses the condition."""
 
     columns: tuple
-    refuse_ops: Sequence[int]
     tail: bool = False
 
 
@@ -419,8 +426,8 @@ def _aperiodicity_refusal(cert: AperiodicityCertificate) -> str | None:
     return None
 
 
-def _weight_refusal(scenario: Scenario, ops) -> str | None:
-    for l in ops:
+def _weight_refusal(scenario: Scenario, cond: _Condition) -> str | None:
+    for l in sorted({l for c in cond.columns for _, _, l, _ in c.terms}):
         sup = scenario.weights[l].sup_bound()
         if sup <= 1.0:
             return (
@@ -461,7 +468,7 @@ def _sweep(scenario, conditions):
     alone is more.  Its accept values fold into each condition's worst
     value per point, ``_select_e`` chooses E_n for the block from those,
     and a trace cell is the column's max over E_n.
-    Returns (verdict, n_star, None, rows) for each condition.
+    Returns (n_star, rows) for each condition.
     """
     columns = {c.name: c for cond in conditions for c in cond.columns}
     n_pts, n_max = len(scenario.K), scenario.n_max
@@ -477,8 +484,7 @@ def _sweep(scenario, conditions):
             ns = np.arange(start, min(start + block, n_max + 1))
             tops, traces, worst = {}, {}, [None] * len(conditions)
             for name, c in columns.items():
-                v = c.values(tables, ns)
-                trace, accept = v if c.t_max else (v, v)
+                trace, accept = c.values(tables, ns)
                 tops[name] = np.max(trace, axis=0)
                 # only a budget lets E_n differ from K; without one, holding
                 # a block's columns only puts each block on fresh pages
@@ -498,12 +504,7 @@ def _sweep(scenario, conditions):
                 cells = zip(*(s.tolist() for s in sups))
                 rows += zip(ns.tolist(), cells, (dropped * mass).tolist())
                 oks += ok.tolist()
-    results = []
-    for cond, (rows, oks) in zip(conditions, out):
-        n_star = _verdict_n(oks, cond.tail)
-        verdict = VERDICT_NOT_VERIFIED if n_star is None else VERDICT_VERIFIED
-        results.append((verdict, n_star, None, tuple(rows)))
-    return results
+    return [(_verdict_n(oks, c.tail), tuple(rows)) for c, (rows, oks) in zip(conditions, out)]
 
 
 def _verdict_n(oks, tail: bool):
@@ -525,19 +526,19 @@ def _run(mode, scenario, conditions, override) -> list:
     else:
         cert = aperiodicity_bound(scenario.a, scenario.K, scenario.n_max)
         base = _aperiodicity_refusal(cert)
-        reasons = [base or _weight_refusal(scenario, c.refuse_ops) for c in conditions]
+        reasons = [base or _weight_refusal(scenario, c) for c in conditions]
     live = [c for c, reason in zip(conditions, reasons) if reason is None]
     swept = iter(_sweep(scenario, live) if live else ())
     meta = scenario.summary()
     return [
-        _report(mode, cond, (VERDICT_REFUSED, None, r, ()) if r else next(swept), meta, cert)
+        _report(mode, cond, meta, cert, *(() if r else next(swept)), reason=r)
         for cond, r in zip(conditions, reasons)
     ]
 
 
-def _report(mode, cond, result, meta, cert=None) -> ConditionReport:
-    """The report of ``cond`` from a (verdict, n_star, reason, rows) result."""
-    verdict, n_star, reason, rows = result
+def _report(mode, cond, meta, cert, n_star=None, rows=(), reason=None) -> ConditionReport:
+    """The one place a verdict is chosen: refused, verified at n_star, or not."""
+    verdict = VERDICT_REFUSED if reason else VERDICT_VERIFIED if n_star else VERDICT_NOT_VERIFIED
     columns = tuple(c.name for c in cond.columns)
     return ConditionReport(mode, verdict, n_star, reason, columns, rows, (), meta, cert)
 
@@ -552,14 +553,14 @@ def check_disjoint_transitive(scenario: Scenario, override: bool = False) -> Con
     Refuses (unless overridden) when the translation element is not
     certified aperiodic on K or some weight has sup at most 1.
     """
-    cond = _Condition(_pairwise_columns(scenario, _cross), range(scenario.L))
+    cond = _Condition(_pairwise_columns(scenario, _cross))
     return _run("disjoint_transitive", scenario, [cond], override)[0]
 
 
 def check_disjoint_mixing(scenario: Scenario, override: bool = False) -> ConditionReport:
     """Like the transitive check, but the condition must hold at every n
     of a tail window [n_tail, n_max]; n_star reports n_tail."""
-    cond = _Condition(_pairwise_columns(scenario, _cross), range(scenario.L), tail=True)
+    cond = _Condition(_pairwise_columns(scenario, _cross), tail=True)
     return _run("disjoint_mixing", scenario, [cond], override)[0]
 
 
@@ -570,14 +571,12 @@ def check_same_weight(scenario: Scenario, override: bool = False) -> ConditionRe
     the general transitive columns are swept over the same tables and
     must agree (a built-in consistency assertion).
     """
-    ops = range(scenario.L)
-    reduced = _Condition(_pairwise_columns(scenario, _gap), ops)
+    reduced = _Condition(_pairwise_columns(scenario, _gap))
     w0 = scenario.weights[0]
     if any(w != w0 for w in scenario.weights[1:]):
         reason = "weights differ; the reduced check applies to one shared weight"
-        refused = (VERDICT_REFUSED, None, reason, ())
-        return _report("same_weight", reduced, refused, scenario.summary())
-    general = _Condition(_pairwise_columns(scenario, _cross), ops)
+        return _report("same_weight", reduced, scenario.summary(), None, reason=reason)
+    general = _Condition(_pairwise_columns(scenario, _cross))
     result, check = _run("same_weight", scenario, [reduced, general], override)
     got, want = (result.verdict, result.n_star), (check.verdict, check.n_star)
     if got != want:
@@ -592,7 +591,7 @@ def check_chaotic(scenario: Scenario, op_index: int = 0, override: bool = False)
     truncated terms (ratio < 0.99 required)."""
     if not 0 <= op_index < scenario.L:
         raise ScenarioError(f"op_index {op_index} out of range")
-    cond = _Condition(_chaos_columns(scenario, op_index), (op_index,))
+    cond = _Condition(_chaos_columns(scenario, op_index))
     return _run("chaotic", scenario, [cond], override)[0]
 
 
@@ -603,8 +602,8 @@ def check_disjoint_chaotic(scenario: Scenario, override: bool = False) -> Condit
     swept over the same tables."""
     L = scenario.L
     cross = _pairwise_columns(scenario, _cross)
-    singles = [_Condition(_chaos_columns(scenario, l), (l,)) for l in range(L)]
-    combined = _Condition(cross + tuple(c.columns[-1] for c in singles), range(L))
+    singles = [_Condition(_chaos_columns(scenario, l)) for l in range(L)]
+    combined = _Condition(cross + tuple(c.columns[-1] for c in singles))
     result, *singles = _run("disjoint_chaotic", scenario, [combined, *singles], override)
     sub = tuple(
         {"op": l + 1, "verdict": s.verdict, "n_star": s.n_star} for l, s in enumerate(singles)

@@ -150,13 +150,14 @@ class OrliczVector:
         The max-|value| point gives a certified lower bracket; the upper
         bracket is found by doubling.  For a custom Young function whose
         grid cannot certify the bracket the norm raises OutOfGridError
-        rather than extrapolating.
+        rather than extrapolating.  An infinite value (an overflowed
+        product) makes the norm inf: no k has a modular of at most 1.
         """
         vals = np.abs(self.values)
         amax = float(vals.max(initial=0.0))
-        if amax == 0.0:
-            # no entries, or only entries that underflowed to 0.0
-            return 0.0
+        if amax == 0.0 or amax == math.inf:
+            # 0.0: no entries, or only entries that underflowed to 0.0
+            return amax
         mass = self.model.haar_cell_mass
 
         def mod(k: float) -> float:

@@ -129,11 +129,17 @@ class ClampExpWeight(Weight):
         if self.coord < 0:
             raise WeightError("coordinate index must be nonnegative")
 
+    def _check_dim(self, dim: int):
+        if self.coord >= dim:
+            raise WeightError(f"coordinate {self.coord} is not below the model's dimension {dim}")
+
     def __call__(self, x: GroupElement) -> float:
+        self._check_dim(len(x.units))
         c = x.real[self.coord]
         return self.base ** (-min(max(c, self.lo), self.hi))
 
     def on_units(self, model: GroupModel, units: np.ndarray) -> np.ndarray:
+        self._check_dim(model.dim)
         real = units[:, self.coord].astype(np.float64) * model.h
         clamped = np.minimum(np.maximum(real, self.lo), self.hi)
         distinct, where = np.unique(clamped, return_inverse=True)
@@ -143,6 +149,7 @@ class ClampExpWeight(Weight):
     def orbit_logs(self, model: GroupModel, units: np.ndarray, step, js) -> np.ndarray:
         """The kernel's log-weights: they agree with ``math.log`` of
         ``__call__`` to 1e-14 relative, not bit for bit."""
+        self._check_dim(model.dim)
         origin = np.zeros((1, model.dim), dtype=np.int64)
         return _accel.clampexp_orbit_logs(
             units,

@@ -220,19 +220,14 @@ def sweep(scenario, conditions):
     out = [([], []) for _ in conditions]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         for n in range(1, scenario.n_max + 1):
-            values = {}
-            for name, c in columns.items():
-                v = c.values(tables, n)
-                values[name] = v if c.t_max else (v, v)
+            values = {name: c.values(tables, n) for name, c in columns.items()}
             for cond, (rows, oks) in zip(conditions, out):
                 accept = np.vstack([values[c.name][1] for c in cond.columns])
                 ok, keep, dropped = select_e(accept, scenario.epsilon, budget)
                 sups = tuple(float(np.max(values[c.name][0][keep])) for c in cond.columns)
                 rows.append((n, sups, dropped * mass))
                 oks.append(ok)
-    results = []
-    for cond, (rows, oks) in zip(conditions, out):
-        n_star = dynamics._verdict_n(oks, cond.tail)
-        verdict = dynamics.VERDICT_NOT_VERIFIED if n_star is None else dynamics.VERDICT_VERIFIED
-        results.append((verdict, n_star, None, tuple(rows)))
-    return results
+    return [
+        (dynamics._verdict_n(oks, cond.tail), tuple(rows))
+        for cond, (rows, oks) in zip(conditions, out)
+    ]

@@ -178,6 +178,7 @@ class TestCheck:
              "'witness.targets[0]' is invalid: expected a list of [key, value] pairs"),
             ({"n": 10**20}, "'witness.n'"),
             ({"n": 10**12}, "'witness.n'"),
+            ({"targets": 5}, "'witness.targets' is invalid: expected a list, got 5"),
         ],
         ids=[
             "n_text",
@@ -200,6 +201,7 @@ class TestCheck:
             "target_not_pairs",
             "n_overflows",
             "n_past_cap",
+            "targets_not_list",
         ],
     )
     def test_malformed_witness_exit_1(self, tmp_path, capsys, witness, field):
@@ -293,6 +295,17 @@ class TestCheck:
             ({"K": {"ball": 1}}, "'K'"),
             ({"a": 5}, "'a'"),
             ({"n_max": 10**12}, "'n_max'"),
+            ({"weights": 5}, "'weights' is invalid: expected a list, got 5"),
+            ({"powers": 5}, "'powers' is invalid: expected a list, got 5"),
+            ({"K": {"points": 5}}, "'K.points' is invalid: expected a list, got 5"),
+            (
+                {"weights": [dict(STEP_W, coord=5), STEP_W]},
+                "'weights[0]' is invalid: weights[0] cannot be evaluated: "
+                "coordinate 5 is not below the model's dimension 1",
+            ),
+            # a series at t_max 10^9 outgrows the table cap; at t_max 8 it fits
+            ({"mode": "chaotic", "t_max": 10**9}, "field 't_max' is invalid: orbit tables"),
+            ({"mode": "chaotic", "n_max": 10**6, "t_max": 8}, "field 'n_max' is invalid: orbit"),
         ],
         ids=[
             "epsilon_bool",
@@ -334,6 +347,12 @@ class TestCheck:
             "K_neither_box_nor_points",
             "a_not_list",
             "n_max_past_cap",
+            "weights_not_list",
+            "powers_not_list",
+            "points_not_list",
+            "coord_past_dimension",
+            "t_max_past_cap",
+            "n_max_past_cap_at_t_max_8",
         ],
     )
     def test_number_fields_exit_1(self, tmp_path, capsys, overrides, field):
@@ -356,6 +375,27 @@ class TestCheck:
         assert code == 1
         assert "field 'witness.n' is invalid" in capsys.readouterr().out
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "c,n,code",
+        [(1e10, 40, 2), (0.5, 600, 3)],
+        ids=["image_overflows", "vector_overflows"],
+    )
+    def test_overflowed_witness_writes_strict_json(self, tmp_path, c, n, code):
+        # T^{2n} of the witness, or S^{2n} of a target, overflows to inf: its
+        # norm is inf, written as trace.csv writes it, and the verdict stands
+        doc = z_config(mode="witness", weights=[{"rule": "constant", "c": c}] * 2,
+                       K={"box": {"lo": [-1], "hi": [1]}}, n_max=4, witness={"n": n})
+        got, out = run_cli(tmp_path, doc)
+        assert got == code
+
+        def refuse(name):
+            raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+        witness = json.loads((out / "report.json").read_text(), parse_constant=refuse)["witness"]
+        assert witness["rho_l"] == ["inf", "inf"]
+        if c < 1:
+            assert witness["rho_0"] == "inf" and "inf" in {v for _, v in witness["vector"]}
 
     def test_integer_valued_numbers_accepted(self, tmp_path):
         doc = z_config(epsilon=1, young={"family": "power", "p": 2},

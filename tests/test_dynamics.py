@@ -219,7 +219,9 @@ class TestRefusals:
 
 class TestTableCap:
     """The desk-scale cap counts the two (N, depth + 1) tables of every
-    distinct operator, the cells the build allocates, and names n_max."""
+    distinct operator, the cells the build allocates, and names the field
+    at fault: t_max when the build would fit with every series truncated
+    at min(t_max, 8), else n_max."""
 
     def built_cells(self, monkeypatch, run):
         cells = []
@@ -235,14 +237,14 @@ class TestTableCap:
             run()
         return sum(cells)
 
-    def assert_cap_is_tight(self, monkeypatch, run):
+    def assert_cap_is_tight(self, monkeypatch, run, field="n_max"):
         cells = self.built_cells(monkeypatch, run)
         monkeypatch.setattr(dynamics, "_MAX_TABLE_CELLS", cells)
         run()
         monkeypatch.setattr(dynamics, "_MAX_TABLE_CELLS", cells - 1)
         with pytest.raises(ScenarioError, match="desk-scale cap") as got:
             run()
-        assert got.value.field == "n_max"
+        assert got.value.field == field
 
     @pytest.mark.parametrize(
         "weights", [(STEP, STEP), (STEP, ClampExpWeight(3.0, 0, -1.0, 1.0))], ids=["shared", "two"]
@@ -252,11 +254,37 @@ class TestTableCap:
         self.assert_cap_is_tight(monkeypatch, lambda: check_disjoint_transitive(s, override=True))
 
     def test_periodic_point(self, monkeypatch):
+        # the series at t_max 20 is what outgrows the cap; n is no field here
         op, phi = WeightedTranslation(ZLINE, ZLINE.element([1]), STEP), PowerYoung(2.0)
         K = CompactSet.box(ZLINE, [-3], [3])
         self.assert_cap_is_tight(
-            monkeypatch, lambda: build_periodic_point(op, phi, indicator(K), K, 10, 20, 0.5)
+            monkeypatch, lambda: build_periodic_point(op, phi, indicator(K), K, 10, 20, 0.5),
+            "t_max",
         )
+
+
+def test_equal_operators_share_one_table_pair(monkeypatch):
+    # operators (A, B, A): columns read 0 and 2, the later one deeper, and never 1
+    builds = []
+    log_tables = WeightedTranslation.log_tables
+
+    def counting_log_tables(op, units, depth):
+        builds.append((op.weight, depth))
+        return log_tables(op, units, depth)
+
+    monkeypatch.setattr(WeightedTranslation, "log_tables", counting_log_tables)
+    other = ClampExpWeight(3.0, 0, -1.0, 1.0)
+    ops = tuple(WeightedTranslation(ZLINE, ZLINE.element([1]), w) for w in (STEP, other, STEP))
+    columns = [
+        dynamics._Column("near", ((1, "fwd", 0, 2),)),
+        dynamics._Column("far", ((-1, "bwd", 2, 5),)),
+    ]
+    units = CompactSet.box(ZLINE, [-3], [3]).units
+    tables = dynamics._orbit_tables(ops, units, columns, 4)
+    assert builds == [(STEP, 20)]
+    assert tables["fwd", 0] is tables["fwd", 2] and tables["bwd", 0] is tables["bwd", 2]
+    assert tables["fwd", 0].shape == tables["bwd", 2].shape == (7, 21)
+    assert set(tables) == {("fwd", 0), ("bwd", 0), ("fwd", 2), ("bwd", 2)}
 
 
 class TestSameWeight:

@@ -132,6 +132,16 @@ class TestLuxemburgNorm:
         for phi in phis:
             assert f.luxemburg_norm(phi) == 0.0
 
+    def test_overflowed_entries_have_norm_inf(self):
+        # no k has a modular of at most 1, so no doubling brackets the norm
+        op = WeightedTranslation(ZLINE, ZLINE.element([1]), ConstantWeight(1e200))
+        f = op.apply(chi(0, 5), 2)
+        assert np.isinf(f.values).all()  # 1e400 overflows to inf
+        phis = [P1, P2, PowerLogYoung(2.0), CustomYoung([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)])]
+        for phi in phis:
+            assert f.luxemburg_norm(phi) == math.inf
+            assert (chi(0) - f).luxemburg_norm(phi) == math.inf  # -inf entries too
+
     def test_custom_grid_certification(self):
         phi = CustomYoung([(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)])
         # in-grid norm works

@@ -118,11 +118,13 @@ def test_modes_match_reference(monkeypatch, model, rule, cells):
 
 def fake_column(name, fn, t_max=0):
     """A test fake of a column: its one term sets the table depth, and
-    ``values`` is ``fn``; a series probe (t_max > 0) gives (trace, accept)."""
+    ``values`` is ``fn``, whose rows are (trace, accept) for a series probe
+    (t_max > 0) and one row, trace and accept both, for a plain one."""
 
     class Probe(_Column):
         def values(self, tables, n):
-            return fn(tables, n)
+            v = fn(tables, n)
+            return v if t_max else (v, v)
 
     return Probe(name, ((1, "fwd", 0, 1),), t_max)
 
@@ -169,19 +171,19 @@ def test_nan_and_inf_columns_in_uneven_blocks(monkeypatch):
     series = fake_column("probe_series", probe_series, scenario.t_max)
     probe = probe_column(sizes)
     conditions = [
-        _Condition((fwd, probe), (0,)),
-        _Condition((fwd, probe), (0,), tail=True),  # inf and NaN at n_max
-        _Condition((fwd, series), (0,), tail=True),
-        _Condition((series,), (0,)),
+        _Condition((fwd, probe)),
+        _Condition((fwd, probe), tail=True),  # inf and NaN at n_max
+        _Condition((fwd, series), tail=True),
+        _Condition((series,)),
     ]
     got = dynamics._sweep(scenario, conditions)
     assert sizes == [5, 5, 5, 5, 4]
-    assert got[0][1] == 9
+    assert got[0][0] == 9
     want = reference.sweep(scenario, conditions)
     assert repr(got) == repr(want)  # NaN != NaN, but repr is exact
-    cells = [v for _, values, _ in got[0][3] for v in values]
+    cells = [v for _, values, _ in got[0][1] for v in values]
     assert np.isnan(cells).any() and np.isinf(cells).any()
-    assert {r[0] for r in got} == {"verified", "not_verified_within_bound"}
+    assert {n_star is None for n_star, _ in got} == {True, False}
 
 
 def probe_a(t, n):
@@ -234,20 +236,20 @@ def test_budget_ties_nan_and_clamp_in_uneven_blocks(monkeypatch, cells):
     a, b = fake_column("a", probe_a), fake_column("b", probe_b)
     s = fake_column("s", probe_s, scenario.t_max)
     conditions = [
-        _Condition((a, b, s), (0,)),
-        _Condition((a, b, s), (0,), tail=True),
-        _Condition((a,), (0,)),
+        _Condition((a, b, s)),
+        _Condition((a, b, s), tail=True),
+        _Condition((a,)),
     ]
     got = dynamics._sweep(scenario, conditions)
     want = reference.sweep(scenario, conditions)
     assert repr(got) == repr(want)
-    rows = got[0][3]
+    rows = got[0][1]
     budget = min(cells, 4)
     # n = 1: points 0, 1 and 2 tie at 3, and the first of them go
     dropped = min(budget, 3)
     assert rows[0] == (1, tuple(0.5 if i < dropped else 3.0 for i in range(3)), 0.25 * dropped)
     # n = 2: only the NaN accept at point 3 violates; dropping it verifies
-    assert rows[1][2] == 0.25 and got[0][1] == (1 if budget >= 3 else 2)
+    assert rows[1][2] == 0.25 and got[0][0] == (1 if budget >= 3 else 2)
     # n = 3: the NaN outranks point 4's 2.0
     assert rows[2][1][0] == (2.0 if budget == 1 else 0.5)
     # n = 6: all 5 points violate, more than any budget (clamped to 4)

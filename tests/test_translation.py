@@ -91,6 +91,18 @@ class TestWeights:
         with pytest.raises(WeightError):
             w.on_units(plane, np.zeros((1, 2), dtype=np.int64))
 
+    def test_clamp_coordinate_past_the_model_dimension(self):
+        w, units = ClampExpWeight(2.0, 3, -1.0, 1.0), np.zeros((1, 3), dtype=np.int64)
+        plane = GroupModel.int_lattice(2)
+        match = "coordinate 3 is not below the model's dimension 2"
+        with pytest.raises(WeightError, match=match):
+            w(plane.identity())
+        with pytest.raises(WeightError, match=match):
+            w.on_units(plane, units[:, :2])
+        with pytest.raises(WeightError, match=match):
+            WeightedTranslation(plane, plane.element([1, 0]), w).log_tables(units[:, :2], 4)
+        assert ClampExpWeight(2.0, 1, -1.0, 1.0).on_units(plane, units[:, :2]).tolist() == [1.0]
+
     def test_lattice_uses_real_coordinates(self):
         m = GroupModel.lattice_line(0.5)
         w = ClampExpWeight(base=2.0, coord=0, lo=-1.0, hi=1.0)

@@ -22,7 +22,6 @@ from .group import (
     GroupElement,
     GroupModel,
     aperiodicity_bound,
-    haar,
 )
 from .orlicz import OrliczVector, indicator
 from .translation import (
@@ -31,7 +30,6 @@ from .translation import (
     TableWeight,
     Weight,
     WeightedTranslation,
-    sup_abs_on,
 )
 from .young import (
     CustomYoung,
@@ -75,8 +73,6 @@ __all__ = [
     "check_disjoint_mixing",
     "check_disjoint_transitive",
     "check_same_weight",
-    "haar",
     "indicator",
-    "sup_abs_on",
     "verify_witness",
 ]

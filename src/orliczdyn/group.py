@@ -17,9 +17,10 @@ must land back on the lattice; products that do not raise OffLatticeError
 A ``CompactSet`` holds its points as distinct (N, d) unit rows in
 lexicographic order (``sorted_rows``); its elements are built on demand.
 ``GroupModel.orbit_units`` gives whole orbits x * b^j in closed form and
-``row_index`` matches unit rows exactly.  The aperiodicity scan moves all
-of K by a^n with one ``orbit_units`` call and tests K /\\ K*a^n with one
-``row_index`` call per n; only the powers a^n are scalar products.
+``row_index`` matches unit rows exactly, by one integer code per row.  The
+aperiodicity scan moves all of K by a^n for a block of n at once with one
+``orbit_units`` call and tests every K /\\ K*a^n of the block with one
+``row_index`` call; its one scalar product is a*a, made for its error.
 
 The scan stops at a projection cap.  On each coordinate that every point
 of K shifts by exactly n * a_i (all coordinates of the abelian kinds; x
@@ -42,6 +43,7 @@ KINDS = ("int_line", "int_lattice", "heisenberg_int", "lattice_line", "heisenber
 _HEISENBERG_KINDS = ("heisenberg_int", "heisenberg_lattice")
 _LATTICE_KINDS = ("lattice_line", "heisenberg_lattice")
 _INT64_MAX = 2**63 - 1
+ORBIT_BLOCK_CELLS = 1 << 15
 
 
 class GroupError(Exception):
@@ -255,26 +257,42 @@ def sorted_rows(units: np.ndarray):
 
 
 def row_index(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Index in ``keys`` (distinct rows) of each row of ``rows``, -1 if absent.
+    """Index in ``keys`` (distinct rows, in any order) of each row of
+    ``rows``, -1 if absent.
 
     Rows outside the keys' bounding box cannot match and are dropped
-    first; the rest are compared whole after one ``sorted_rows``.
+    first.  Every key and every row left gets one mixed-radix code over
+    the box, first coordinate most significant, and a binary search of
+    the keys' codes finds each row's.  The codes are int64 when the keys
+    are and the box's volume fits in int64, and exact Python ints in an
+    object array otherwise, through the same lines.
     """
     out = np.full(len(rows), -1, dtype=np.int64)
     if not len(keys) or not len(rows):
         return out
-    inside = np.flatnonzero(
-        ((rows >= keys.min(axis=0)) & (rows <= keys.max(axis=0))).all(axis=1)
-    )
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    inside = np.ones(len(rows), dtype=bool)
+    for i in range(keys.shape[1]):  # one coordinate at a time: all(axis=1) is slower
+        inside &= (rows[:, i] >= lo[i]) & (rows[:, i] <= hi[i])
+    inside = np.flatnonzero(inside)
     if not inside.size:
         return out
-    both = np.concatenate([keys, rows[inside]])
-    order, new = sorted_rows(both)
-    ids = np.empty(len(both), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    slot = np.full(len(both), -1, dtype=np.int64)
-    slot[ids[: len(keys)]] = np.arange(len(keys))
-    out[inside] = slot[ids[len(keys) :]]
+    span = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    dtype = np.int64 if keys.dtype != object and math.prod(span) <= _INT64_MAX else object
+
+    def codes(units):
+        units = units.astype(dtype, copy=False) - lo.astype(dtype)
+        code = np.zeros(len(units), dtype=dtype)
+        for i, s in enumerate(span):
+            code = code * s + units[:, i]
+        return code
+
+    key_codes, row_codes = codes(keys), codes(rows[inside])
+    order = np.argsort(key_codes, kind="stable")
+    slot = np.searchsorted(key_codes, row_codes, sorter=order)
+    found = order[np.minimum(slot, len(keys) - 1)]
+    hit = key_codes[found] == row_codes
+    out[inside[hit]] = found[hit]
     return out
 
 
@@ -385,11 +403,6 @@ class CompactSet:
         return self.model == other.model and bool((row_index(self.units, other.units) >= 0).all())
 
 
-def haar(K: CompactSet) -> float:
-    """Right Haar measure of a finite set: cell count times cell mass."""
-    return K.measure
-
-
 @dataclass(frozen=True)
 class AperiodicityCertificate:
     """Outcome of the translate-disjointness scan K /\\ K*a^(+-n)."""
@@ -421,12 +434,18 @@ def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> Aperiodici
     aperiodicity claim is made in that case).  Every model's group is
     torsion-free, so no other a has a power equal to the identity.
 
-    Only n <= max(2, cap) are tested, with the cap of ``_projection_cap``:
-    past it no translate meets K, so the last hit and the status are those
-    of the full scan to n_max, and "not_within_bound" needs cap >= n_max.
-    A walk off the lattice fails at n = 1 or 2 (see ``_check_walk``, and
-    the product a^(n-1) * a), so the floor of 2 raises every such error
-    where the full scan would.
+    Only n <= top = max(2, cap) are tested, with the cap of
+    ``_projection_cap``: past it no translate meets K, so the last hit and
+    the status are those of the full scan to n_max, and "not_within_bound"
+    needs cap >= n_max.  The translates K*a^n come from ``orbit_units`` in
+    blocks of n of at most ORBIT_BLOCK_CELLS points, so memory does not
+    grow with the cap, and one ``row_index`` call per block tests them all.
+
+    A walk off the lattice fails only at n = 1, at some translate x*a, or
+    at n = 2, at the product a*a (see ``_check_walk``).  So the scan makes
+    the n = 1 translates and then a*a before its blocks: each error is the
+    one that a scan making a^n = a^(n-1) * a and K*a^n one n at a time
+    raises first, and the floor of 2 reaches both.
     """
     if len(K) == 0:
         raise EmptySetError("aperiodicity scan needs a nonempty set")
@@ -436,15 +455,21 @@ def aperiodicity_bound(a: GroupElement, K: CompactSet, n_max: int) -> Aperiodici
         return AperiodicityCertificate("periodic", None, n_max)
     if a.model != K.model:
         raise ModelMismatchError("elements belong to different group models")
-    rows = K.units
+    rows, model = K.units, K.model
+    top = min(n_max, max(2, _projection_cap(a, rows)))
+    # the errors of n = 1 and then of n = 2, before any block
+    model.orbit_units(rows, a, [1])
+    if top > 1:
+        a * a
+    block = max(1, ORBIT_BLOCK_CELLS // len(rows))
     last_hit = 0
-    an = a.model.identity()
-    for n in range(1, min(n_max, max(2, _projection_cap(a, rows))) + 1):
-        an = an * a
+    for start in range(1, top + 1, block):
+        ns = np.arange(start, min(start + block, top + 1))
         # K /\ K*a^-n is empty iff K /\ K*a^n is, so one direction suffices.
-        moved = K.model.orbit_units(rows, an, [1])[:, 0]
-        if (row_index(moved, rows) >= 0).any():
-            last_hit = n
+        moved = model.orbit_units(rows, a, ns).reshape(-1, model.dim)
+        hits = (row_index(moved, rows) >= 0).reshape(len(rows), len(ns)).any(axis=0)
+        if hits.any():
+            last_hit = int(ns[hits][-1])
     if last_hit >= n_max:
         return AperiodicityCertificate("not_within_bound", None, n_max)
     return AperiodicityCertificate("aperiodic", last_hit, n_max)

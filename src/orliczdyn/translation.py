@@ -40,8 +40,7 @@ import numpy as np
 
 from . import _accel
 from .group import (
-    CompactSet,
-    EmptySetError,
+    ORBIT_BLOCK_CELLS,
     GroupElement,
     GroupError,
     GroupModel,
@@ -53,7 +52,6 @@ from .group import (
 from .orlicz import OrliczVector
 
 LOG_SPACE_SWITCH = 64
-ORBIT_BLOCK_CELLS = 1 << 15
 
 
 class WeightError(Exception):
@@ -315,27 +313,30 @@ class WeightedTranslation:
 
         for n = 0..depth, so the forward cocycle is exp(fwd[:, n]) and the
         backward cocycle is exp(-bwd[:, n]).  A row's prefix does not depend
-        on the depth.  Each table fills in column blocks of ORBIT_BLOCK_CELLS
-        cells, and each block's cumsum starts from the sum carried over, so
-        the sums are those of one cumsum over the row, bit for bit, and the
-        build holds one block of log-weights beside the tables.  Each walk
-        is checked before its blocks, so one that leaves a lattice raises
-        OffLatticeError for every rule, the clamp kernel's too.
+        on the depth.  Each table is the transpose of a C-contiguous
+        (depth + 1, N) array, so the cells of one n, which the sweep reads
+        together, are adjacent.  Each table fills in column blocks of
+        ORBIT_BLOCK_CELLS cells, and each block's cumsum starts from the sum
+        carried over, so the sums are those of one cumsum over the row, bit
+        for bit, and the build holds one block of log-weights beside the
+        tables.  Each walk is checked before its blocks, so one that leaves
+        a lattice raises OffLatticeError for every rule, the clamp kernel's
+        too.
         """
         block = max(1, ORBIT_BLOCK_CELLS // max(len(units), 1))
         tables = []
         for inverse in (False, True):
             step, first = self._walk(inverse)
-            table = np.zeros((len(units), depth + 1))
+            table = np.zeros((depth + 1, len(units)))
             if depth:  # a lattice walk leaves the lattice at its step 1 or 2 or never
                 self.model.orbit_units(units, step, [min(depth - 1 + first, 2)])
             for c in range(0, depth, block):
                 js = np.arange(c, min(c + block, depth)) + first
-                logs = self.weight.orbit_logs(self.model, units, step, js)
+                logs = self.weight.orbit_logs(self.model, units, step, js).T
                 if c:
-                    logs[:, 0] += table[:, c]
-                np.cumsum(logs, axis=1, out=table[:, c + 1 : c + 1 + len(js)])
-            tables.append(table)
+                    logs[0] += table[c]
+                np.cumsum(logs, axis=0, out=table[c + 1 : c + 1 + len(js)])
+            tables.append(table.T)
         return tuple(tables)
 
     def cocycle_fwd(self, n: int, x: GroupElement) -> float:
@@ -371,10 +372,3 @@ def log_values(values: np.ndarray) -> np.ndarray:
     ``math.log`` of each weight (np.log may differ in the last bit)."""
     distinct, where = np.unique(values, return_inverse=True)
     return np.array([math.log(v) for v in distinct.tolist()])[where.reshape(-1)]
-
-
-def sup_abs_on(values, E: CompactSet) -> float:
-    """Exact max of |values(x)| over a nonempty finite set."""
-    if len(E) == 0:
-        raise EmptySetError("sup over an empty set")
-    return max(abs(values(x)) for x in E)

@@ -21,7 +21,6 @@ from orliczdyn.group import (
     ModelMismatchError,
     OffLatticeError,
     aperiodicity_bound,
-    haar,
     row_index,
 )
 from orliczdyn.orlicz import OrliczVector
@@ -107,21 +106,21 @@ class TestArithmetic:
 class TestCompactSets:
     def test_box_and_haar(self):
         K = CompactSet.box(ZLINE, [-3], [3])
-        assert len(K) == 7 and haar(K) == 7.0
+        assert len(K) == 7 and K.measure == 7.0
 
     def test_lattice_cell_mass(self):
         m = GroupModel.lattice_line(0.5)
         K = CompactSet.box(m, [0.0], [1.5])  # units 0..3, 4 cells
-        assert len(K) == 4 and haar(K) == 2.0
+        assert len(K) == 4 and K.measure == 2.0
 
     def test_heisenberg_lattice_mass(self):
         m = GroupModel.heisenberg_lattice(0.5)
         K = CompactSet.box(m, [0, 0, 0], [0.5, 0.5, 0.5])
-        assert len(K) == 8 and haar(K) == 8 * 0.125
+        assert len(K) == 8 and K.measure == 8 * 0.125
 
     def test_empty(self):
         K = CompactSet.box(ZLINE, [2], [1])
-        assert len(K) == 0 and haar(K) == 0.0
+        assert len(K) == 0 and K.measure == 0.0
         K = CompactSet.box(HEIS, [0, 0, 0], [3, -1, 3])
         assert K.units.shape == (0, 3) and list(K) == []
 
@@ -173,7 +172,7 @@ class TestCompactSets:
             for _ in range(10):
                 a = random_element(model, rng, span=10)
                 for n in (-3, -1, 1, 2, 5):
-                    assert haar(K.translate(a**n)) == haar(K)
+                    assert K.translate(a**n).measure == K.measure
 
     def test_membership_and_subset(self):
         K = CompactSet.box(ZLINE, [-2], [2])
@@ -295,6 +294,29 @@ class TestAperiodicity:
         with pytest.raises(EmptySetError):
             aperiodicity_bound(ZLINE.element([1]), CompactSet.box(ZLINE, [2], [1]), 10)
 
+    def test_blocks_bound_the_orbit_arrays(self, monkeypatch):
+        # 13 * 13 * 41 points: blocks of 4 steps, and the z cap is 40
+        asked = []
+        orbit_units = GroupModel.orbit_units
+
+        def counting(model, units, b, j):
+            asked.append(np.size(j))
+            return orbit_units(model, units, b, j)
+
+        monkeypatch.setattr(GroupModel, "orbit_units", counting)
+        K = CompactSet.box(HEIS, [-6, -6, -20], [6, 6, 20])
+        cert = aperiodicity_bound(HEIS.element_units((0, 0, 1)), K, 1000)
+        assert cert.status == "aperiodic" and cert.bound == 40
+        assert len(asked) >= 10 and max(asked) <= max(1, group.ORBIT_BLOCK_CELLS // len(K))
+
+    def test_sparse_set_at_a_large_cap(self):
+        # the only hit is 0 + 20000 at n = 20000, in the scan's second block
+        K = CompactSet.from_elements(ZLINE, [ZLINE.element([0]), ZLINE.element([20000])])
+        a = ZLINE.element([1])
+        for n_max in (20000, 20001):
+            assert aperiodicity_bound(a, K, n_max) == reference.aperiodicity_bound(a, K, n_max)
+        assert aperiodicity_bound(a, K, 20001).bound == 20000
+
 
 def _scan_outcome(scan, a, K, n_max):
     try:
@@ -365,6 +387,17 @@ class TestAperiodicityMatchesReference:
         assert want[0] is ModelMismatchError
         assert _scan_outcome(aperiodicity_bound, a, K, 5) == want
 
+    @pytest.mark.parametrize("cells", [1, 7, 40])
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_small_blocks(self, monkeypatch, model, cells):
+        # blocks of a few steps, so a hit or an error can fall in any block
+        monkeypatch.setattr(group, "ORBIT_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for _ in range(60):
+            a, K = _random_scan_case(model, rng)
+            want = _scan_outcome(reference.aperiodicity_bound, a, K, 20)
+            assert _scan_outcome(aperiodicity_bound, a, K, 20) == want
+
 
 class TestRowIndex:
     KEYS = np.array([[0, 0], [2, -1], [1, 3]])
@@ -392,6 +425,44 @@ class TestRowIndex:
         keys = np.array([[big, 1], [0, 0]], dtype=object)
         rows = np.array([[big, 1], [big + 1, 1], [0, 0], [big, 0]], dtype=object)
         assert row_index(rows, keys).tolist() == [0, -1, 1, -1]
+
+    @staticmethod
+    def oracle(rows, keys):
+        where = {tuple(k): i for i, k in enumerate(keys.tolist())}
+        return [where.get(tuple(r), -1) for r in rows.tolist()]
+
+    def test_matches_a_dict_oracle(self):
+        # strides up to 2^60 make boxes whose volume overflows int64
+        rng = np.random.default_rng(17)
+        volumes = set()
+        for _ in range(400):
+            d = int(rng.integers(1, 4))
+            stride = int(rng.choice([1, 3, 2**31, 2**60]))
+            keys = np.unique(rng.integers(-3, 4, size=(int(rng.integers(1, 30)), d)), axis=0)
+            keys = keys[rng.permutation(len(keys))] * stride
+            # past the box on every side, and one unit off a key
+            rows = rng.integers(-4, 5, size=(int(rng.integers(0, 60)), d)) * stride
+            rows += rng.integers(-1, 2, size=rows.shape) * (rng.random(rows.shape) < 0.2)
+            assert row_index(rows, keys).tolist() == self.oracle(rows, keys)
+            for r, k in [(rows.astype(object), keys), (rows, keys.astype(object))]:
+                assert row_index(r, k).tolist() == self.oracle(rows, keys)
+            span = (keys.max(axis=0) - keys.min(axis=0)).astype(object) + 1
+            volumes.add(math.prod(span.tolist()) > 2**63 - 1)
+        assert volumes == {False, True}
+
+    def test_box_volume_past_int64(self):
+        big = 2**40
+        keys = np.array([[big, big], [0, 0]])
+        rows = np.array([[0, 0], [big, big], [0, big], [big, 0], [1, 0], [big + 1, 0], [0, 1]])
+        assert row_index(rows, keys).tolist() == [1, 0, -1, -1, -1, -1, -1]
+        assert row_index(rows.astype(object), keys).tolist() == [1, 0, -1, -1, -1, -1, -1]
+
+    def test_object_keys_in_a_small_box(self):
+        big = 2**70
+        keys = np.array([[big + 1, 5], [big, 0]], dtype=object)
+        rows = np.array([[big, 0], [big + 1, 5], [big, 5], [0, 0]], dtype=object)
+        assert row_index(rows, keys).tolist() == [1, 0, -1, -1]
+        assert row_index(np.array([[0, 0], [1, 5]]), keys).tolist() == [-1, -1]
 
 
 HASH_SEED_PROBE = """

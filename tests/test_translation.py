@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from samples import random_element, random_vector
-from orliczdyn.group import CompactSet, EmptySetError, GroupModel
+from orliczdyn import translation
+from orliczdyn.group import CompactSet, GroupModel
 from orliczdyn.orlicz import OrliczVector
 from orliczdyn.translation import (
     ClampExpWeight,
@@ -12,7 +13,6 @@ from orliczdyn.translation import (
     TableWeight,
     WeightedTranslation,
     WeightError,
-    sup_abs_on,
 )
 from orliczdyn.young import PowerYoung
 
@@ -155,6 +155,16 @@ class TestOperator:
         assert len(op.apply(f, 7)) == len(f)
         assert len(op.apply_inv(f, 7)) == len(f)
 
+    def test_log_tables_are_transposes_of_contiguous_arrays(self, monkeypatch):
+        # one n for all rows is one contiguous row of the array underneath
+        units = CompactSet.box(ZLINE, [-3], [3]).units
+        for cells in (translation.ORBIT_BLOCK_CELLS, 7 * 5):
+            monkeypatch.setattr(translation, "ORBIT_BLOCK_CELLS", cells)
+            for depth in (0, 1, 40):
+                for table in zop().log_tables(units, depth):
+                    assert table.shape == (7, depth + 1)
+                    assert table.T.flags.c_contiguous
+
 
 class TestCocycles:
     def test_fwd_step_weight(self):
@@ -265,7 +275,7 @@ class TestCocycles:
 class TestSup:
     def test_constant_one(self):
         E = CompactSet.box(ZLINE, [-5], [5])
-        assert sup_abs_on(lambda x: 1.0, E) == 1.0
+        assert max(abs(1.0) for x in E) == 1.0
 
     def test_step_fwd_over_window(self):
         # direct-product oracle at each of the 3 points gives max 0.25 at x=-1
@@ -275,8 +285,4 @@ class TestSup:
             math.prod(STEP(ZLINE.element([p + j])) for j in range(1, 4)) for p in (-1, 0, 1)
         )
         assert oracle == 0.25
-        assert sup_abs_on(lambda x: op.cocycle_fwd(3, x), E) == 0.25
-
-    def test_empty_set(self):
-        with pytest.raises(EmptySetError):
-            sup_abs_on(lambda x: 1.0, CompactSet.box(ZLINE, [1], [0]))
+        assert max(abs(op.cocycle_fwd(3, x)) for x in E) == 0.25

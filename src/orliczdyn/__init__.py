@@ -23,7 +23,7 @@ from .group import (
     GroupModel,
     aperiodicity_bound,
 )
-from .orlicz import OrliczVector, indicator
+from .orlicz import OrliczVector
 from .translation import (
     ClampExpWeight,
     ConstantWeight,
@@ -33,7 +33,6 @@ from .translation import (
 )
 from .young import (
     CustomYoung,
-    Delta2Report,
     PowerLogYoung,
     PowerYoung,
     YoungFunction,
@@ -50,7 +49,6 @@ __all__ = [
     "ConditionReport",
     "ConstantWeight",
     "CustomYoung",
-    "Delta2Report",
     "GroupElement",
     "GroupModel",
     "OrliczVector",
@@ -73,6 +71,5 @@ __all__ = [
     "check_disjoint_mixing",
     "check_disjoint_transitive",
     "check_same_weight",
-    "indicator",
     "verify_witness",
 ]

@@ -75,6 +75,7 @@ from .group import (
     GroupElement,
     GroupModel,
     _h_fraction,
+    _is_int,
     aperiodicity_bound,
     row_index,
 )
@@ -140,7 +141,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "powers", tuple(int(r) for r in self.powers))
+        powers = tuple(self.powers)
+        if not all(map(_is_int, powers)):
+            raise ScenarioError(f"powers must be integers, got {powers}", "powers")
+        object.__setattr__(self, "powers", tuple(map(int, powers)))
         if len(self.weights) != len(self.powers) or not self.weights:
             raise ScenarioError("need equally many weights and powers, at least one", "powers")
         if self.powers[0] < 1 or any(
@@ -155,10 +159,10 @@ class Scenario:
             raise ScenarioError("K must have positive measure", "K")
         if not self.epsilon > 0:
             raise ScenarioError("epsilon must be positive", "epsilon")
-        if self.n_max < 1:
-            raise ScenarioError("n_max must be >= 1", "n_max")
-        if self.t_max < 1:
-            raise ScenarioError("t_max must be >= 1", "t_max")
+        if not _is_int(self.n_max) or self.n_max < 1:
+            raise ScenarioError(f"n_max must be an integer >= 1, got {self.n_max!r}", "n_max")
+        if not _is_int(self.t_max) or self.t_max < 1:
+            raise ScenarioError(f"t_max must be an integer >= 1, got {self.t_max!r}", "t_max")
         if not self.e_deficit_cap >= 0:  # NaN too
             raise ScenarioError("deficit cap must be nonnegative", "e_deficit_cap")
         if self.e_deficit_cap > 0 and not self.model.is_lattice:

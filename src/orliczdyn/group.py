@@ -67,6 +67,16 @@ def _h_fraction(h: float) -> Fraction:
     return Fraction(h).limit_denominator(10**12)
 
 
+def _is_int(value) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _exact_units(c: numbers.Integral, h: float) -> Fraction:
+    """The integer coordinate c in units of h, exactly."""
+    return Fraction(int(c)) / _h_fraction(h)
+
+
 @dataclass(frozen=True)
 class GroupModel:
     kind: str
@@ -125,13 +135,22 @@ class GroupModel:
         return GroupElement(self, units)
 
     def element(self, coords) -> "GroupElement":
-        """Build an element from real coordinates (must sit on the lattice)."""
+        """Build an element from real coordinates (must sit on the lattice).
+
+        An integer coordinate is divided by h exactly (``_h_fraction``), so
+        no unit is lost past 2**53; a float may miss its lattice point by
+        1e-9 relative."""
         units = []
         for c in coords:
-            u = round(c / self.h)
-            if abs(u * self.h - c) > 1e-9 * max(1.0, abs(c)):
+            if isinstance(c, numbers.Integral):
+                u = _exact_units(c, self.h)
+                on_lattice = u.denominator == 1
+            else:
+                u = round(c / self.h)
+                on_lattice = abs(u * self.h - c) <= 1e-9 * max(1.0, abs(c))
+            if not on_lattice:
                 raise OffLatticeError(f"coordinate {c} is not a multiple of h={self.h}")
-            units.append(u)
+            units.append(int(u))
         return self.element_units(units)
 
     def _twist_units(self, x_units, y_units) -> int:
@@ -226,10 +245,7 @@ def unit_entries(entries, dim: int | None = None):
         raise GroupError(f"expected a list of [key, value] pairs, got {entries!r}") from None
     keys, values = [], []
     for key, value in pairs:
-        if not (isinstance(key, (list, tuple)) and key and all(
-            type(u) is int or (isinstance(u, numbers.Integral) and not isinstance(u, bool))
-            for u in key
-        )):
+        if not (isinstance(key, (list, tuple)) and key and all(map(_is_int, key))):
             raise GroupError(f"key {key!r} must be a nonempty list of integers")
         dim = len(key) if dim is None else dim
         if len(key) != dim:
@@ -359,10 +375,14 @@ class CompactSet:
         """All lattice points with real coordinates inside [lo_i, hi_i]."""
         if len(lo) != model.dim or len(hi) != model.dim:
             raise GroupError("box bounds must match the model dimension")
+
+        def units(c, tol):  # integer bounds exactly, as in ``GroupModel.element``
+            return _exact_units(c, model.h) if isinstance(c, numbers.Integral) else c / model.h + tol
+
         axes = []
         for a, b in zip(lo, hi):
-            u0 = math.ceil(a / model.h - 1e-9)
-            u1 = math.floor(b / model.h + 1e-9)
+            u0 = math.ceil(units(a, -1e-9))
+            u1 = math.floor(units(b, 1e-9))
             if u1 < u0:
                 return cls(model, np.zeros((0, model.dim), dtype=np.int64))
             if u1 - u0 > 10**6:

@@ -196,10 +196,6 @@ class OrliczVector:
         return [[u, v] for u, v in zip(self.units.tolist(), self.values.tolist())]
 
 
-def indicator(K: CompactSet) -> OrliczVector:
-    return OrliczVector.indicator(K)
-
-
 def _canonical(units, values):
     """Sorted distinct rows and their nonzero sums; the values of a
     repeated row are added one after the other, in input order."""

@@ -8,10 +8,12 @@ phi(t) > 0 for t > 0 and phi(t) -> infinity.  Three families are provided:
 * ``CustomYoung``        monotone piecewise-linear interpolation of a
                          user-supplied sample grid on [0, t_max]
 
-Note: PowerLogYoung follows the classical formula even though for small
-exponents (a below roughly 2.62) it has a narrow non-convex window just
-left of |t| = 1; it is strictly increasing everywhere, which is all the
-norm and inverse machinery relies on.
+PowerLogYoung is convex only for a >= (3 + sqrt 5)/2 ~ 2.618: for
+0 < t < 1, phi'' = t**(a-2) * ((a-1)(a-1-a log t) - a), whose bracket
+tends to a**2 - 3a + 1 as t -> 1-.  Smaller a > 1 are accepted.  Then
+phi is still strictly increasing, so the inverse and the norm bisection
+work, but the Luxemburg functional is not a norm: on int_line at
+a = 1.5, N(chi{0} + chi{1}) = 2.4219 > 2 = N(chi{0}) + N(chi{1}).
 """
 
 from __future__ import annotations
@@ -47,15 +49,6 @@ class ConjugateDivergesError(YoungFunctionError):
     pass
 
 
-@dataclass(frozen=True)
-class Delta2Report:
-    """Sampled doubling-ratio diagnostic: m_delta = sup phi(2t)/phi(t)."""
-
-    m_delta: float
-    regular: bool
-    empty_range: bool = False
-
-
 class YoungFunction:
     """Base class; subclasses provide the pointwise and the array formula."""
 
@@ -68,10 +61,6 @@ class YoungFunction:
         """phi at every entry of a float64 array of nonnegative inputs; +inf
         past a custom grid."""
         raise NotImplementedError
-
-    def value_array(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized phi(|t|)."""
-        return self.values(np.abs(np.asarray(ts, dtype=np.float64)))
 
     def inverse(self, s: float) -> float:
         """Generalized inverse sup{t >= 0 : phi(t) <= s} by bisection.
@@ -125,7 +114,7 @@ class YoungFunction:
                 f"objective for y={y} still increasing at bracket cap {cap}"
             )
         xs = np.linspace(0.0, hi, 257)
-        vals = xs * ay - self.value_array(xs)
+        vals = xs * ay - self.values(xs)
         i = int(np.argmax(vals))
         a = xs[max(i - 1, 0)]
         b = xs[min(i + 1, len(xs) - 1)]
@@ -145,31 +134,6 @@ class YoungFunction:
                 d = a + invphi * (b - a)
                 gd = g(d)
         return max(g(0.5 * (a + b)), gc, gd, float(vals[i]), 0.0)
-
-    def delta2_report(self, t_lo: float, t_hi: float, samples: int = 256) -> Delta2Report:
-        """Estimate the doubling constant sup phi(2t)/phi(t) on [t_lo, t_hi].
-
-        ``regular`` is false when the ratio grows monotonically across the
-        top decade of the range (the sampled signature of an unbounded
-        doubling ratio).  A degenerate range is reported, not raised.
-        """
-        if samples < 2 or t_lo <= 0 or t_hi <= t_lo:
-            return Delta2Report(m_delta=math.nan, regular=False, empty_range=True)
-        hi = t_hi
-        if math.isfinite(self.t_max):
-            hi = min(hi, self.t_max / 2.0)  # keep phi(2t) on the grid
-            if hi <= t_lo:
-                return Delta2Report(m_delta=math.nan, regular=False, empty_range=True)
-        ts = np.geomspace(t_lo, hi, samples)
-        ratios = self.value_array(2.0 * ts) / self.value_array(ts)
-        m_delta = float(np.max(ratios))
-        top = ratios[ts >= hi / 10.0]
-        if len(top) >= 3:
-            diffs = np.diff(top)
-            growing = bool(np.all(diffs > 0)) and top[-1] / top[0] > 1.25
-        else:
-            growing = False
-        return Delta2Report(m_delta=m_delta, regular=not growing)
 
 
 @dataclass(frozen=True)
@@ -191,15 +155,15 @@ class PowerYoung(YoungFunction):
     def values(self, ts: np.ndarray) -> np.ndarray:
         return ts**self.p / self.p
 
-    def conjugate_exponent(self) -> float:
-        if self.p == 1.0:
-            return math.inf
-        return self.p / (self.p - 1.0)
-
 
 @dataclass(frozen=True)
 class PowerLogYoung(YoungFunction):
-    """phi(t) = |t|**alpha * (1 + |log|t||), alpha > 1."""
+    """phi(t) = |t|**alpha * (1 + |log|t||), alpha > 1.
+
+    Convex, so a Young function, only for alpha >= (3 + sqrt 5)/2; below
+    that the triangle inequality of the Luxemburg norm can fail (see the
+    module docstring).
+    """
 
     alpha: float
 
@@ -266,10 +230,3 @@ class CustomYoung(YoungFunction):
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         return np.where(ts > self.t_max, np.inf, np.interp(ts, self.grid_t, self.grid_y))
-
-    def value_array(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized phi(|t|); raises OutOfGridError past the grid."""
-        out = super().value_array(ts)
-        if np.any(np.isinf(out)):
-            raise OutOfGridError(f"argument beyond the sampled grid (t_max={self.t_max})")
-        return out

@@ -25,7 +25,7 @@ from orliczdyn.dynamics import (
     verify_witness,
 )
 from orliczdyn.group import CompactSet, GroupModel
-from orliczdyn.orlicz import indicator
+from orliczdyn.orlicz import OrliczVector
 from orliczdyn.translation import ClampExpWeight, ConstantWeight, TableWeight, WeightedTranslation
 from orliczdyn.young import PowerLogYoung, PowerYoung
 
@@ -50,7 +50,7 @@ def test_criterion_01_indicator_norm_formula():
         for _ in range(50):
             pts = {int(p) for p in rng.integers(-50, 51, size=int(rng.integers(1, 30)))}
             K = CompactSet.from_elements(ZLINE, [ZLINE.element([p]) for p in pts])
-            lhs = indicator(K).luxemburg_norm(phi)
+            lhs = OrliczVector.indicator(K).luxemburg_norm(phi)
             rhs = 1.0 / phi.inverse(1.0 / K.measure)
             ok &= abs(lhs - rhs) <= 1e-9
     _verdict(1, "indicator norm formula", ok, time.perf_counter() - t0, 1.0)
@@ -95,7 +95,7 @@ def test_criterion_04_young_inequality_grid():
     xs = np.round(np.arange(0.0, 10.0 + 1e-9, 0.01), 10)
     for phi in [PowerYoung(2.0), PowerYoung(3.0)]:
         psi = np.array([phi.conjugate(float(y)) for y in xs])
-        phix = phi.value_array(xs)
+        phix = phi.values(xs)
         gap = phix[:, None] + psi[None, :] + 1e-6 - np.outer(xs, xs)
         ok &= bool(np.all(gap >= 0.0))
     _verdict(4, "numeric Young inequality on the grid", ok, time.perf_counter() - t0, 5.0)
@@ -187,7 +187,7 @@ def test_criterion_06_constructive_witness():
         epsilon=1e-2,
         n_max=64,
     )
-    f = indicator(K0)
+    f = OrliczVector.indicator(K0)
     v4 = build_witness(s, f, [f, f], 4, K0)
     rho0, _ = verify_witness(s, v4, f, [f, f], 4)
     ok = abs(rho0 - 0.1328125) <= 1e-12
@@ -228,7 +228,7 @@ def test_criterion_08_periodic_point():
     op = WeightedTranslation(ZLINE, ZLINE.element([1]), STEP)
     phi = PowerYoung(2.0)
     K = CompactSet.box(ZLINE, [-3], [3])
-    res = build_periodic_point(op, phi, indicator(K), K, 10, 20, epsilon=0.5)
+    res = build_periodic_point(op, phi, OrliczVector.indicator(K), K, 10, 20, epsilon=0.5)
     residual = (op.apply(res.point, 10) - res.point).luxemburg_norm(phi)
     ok = residual <= min(res.tail_bound, 1e-6)
     _verdict(8, "periodic point residual", ok, time.perf_counter() - t0, 1.0)

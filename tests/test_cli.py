@@ -154,6 +154,12 @@ class TestCheck:
         assert report["witness"]["rho_0"] == 0.1328125
         assert report["witness"]["vector"] == [[[-8], 0.0078125], [[-4], 0.125], [[0], 1.0]]
 
+    def test_integer_points_past_2_53_stay_distinct(self, tmp_path):
+        code, out = run_cli(tmp_path, z_config(K={"points": [[2**53 + 1], [2**53]]}))
+        assert code == 2  # not verified: the weight is 2 far right of its window
+        report = json.loads((out / "report.json").read_text())
+        assert report["scenario"]["set_size"] == 2
+
     @pytest.mark.parametrize(
         "witness,field",
         [
@@ -797,3 +803,11 @@ def test_module_entry_point(tmp_path):
     verdict = "verified: mode=disjoint_transitive n_star=14 config=line.json"
     assert proc.stdout.startswith(verdict)
     assert (out / "report.json").exists() and (out / "trace.csv").exists()
+
+
+def test_readme_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    code, out = run_cli(tmp_path, doc)
+    report = json.loads((out / "report.json").read_text())
+    assert code == 0 and report["verdict"] == "verified" and report["n_star"] == 14

@@ -28,7 +28,7 @@ from orliczdyn.dynamics import (
     verify_witness,
 )
 from orliczdyn.group import CompactSet, GroupModel
-from orliczdyn.orlicz import OrliczVector, indicator
+from orliczdyn.orlicz import OrliczVector
 from orliczdyn.translation import (
     ClampExpWeight,
     ConstantWeight,
@@ -208,8 +208,15 @@ class TestRefusals:
             (dict(t_max=0), "t_max"),
             (dict(a=HEIS.element([1, 0, 0])), "a"),
             (dict(K=CompactSet.box(HEIS, [0, 0, 0], [1, 1, 1])), "K"),
+            (dict(powers=(1.9, 2.2)), "powers"),
+            (dict(powers=(True, 2)), "powers"),
+            (dict(n_max=16.5), "n_max"),
+            (dict(n_max=True), "n_max"),
+            (dict(t_max=10.5), "t_max"),
+            (dict(t_max=np.float64(10.0)), "t_max"),
         ],
-        ids=["n_max", "t_max", "a_model", "K_model"],
+        ids=["n_max", "t_max", "a_model", "K_model", "powers_float", "powers_bool",
+             "n_max_float", "n_max_bool", "t_max_float", "t_max_numpy_float"],
     )
     def test_scenario_refusals_name_their_field(self, change, field):
         with pytest.raises(ScenarioError) as got:
@@ -258,7 +265,7 @@ class TestTableCap:
         op, phi = WeightedTranslation(ZLINE, ZLINE.element([1]), STEP), PowerYoung(2.0)
         K = CompactSet.box(ZLINE, [-3], [3])
         self.assert_cap_is_tight(
-            monkeypatch, lambda: build_periodic_point(op, phi, indicator(K), K, 10, 20, 0.5),
+            monkeypatch, lambda: build_periodic_point(op, phi, OrliczVector.indicator(K), K, 10, 20, 0.5),
             "t_max",
         )
 
@@ -591,7 +598,7 @@ class TestChaotic:
         op, x = s.operator(0), ZLINE.element([-6])
         assert sum(op.cocycle_fwd(t, x) + op.cocycle_bwd(t, x) for t in range(1, 9)) < 50
         with pytest.raises(NotChaoticAtNError) as got:
-            build_periodic_point(op, s.phi, indicator(s.K), s.K, 1, 8, epsilon=50.0)
+            build_periodic_point(op, s.phi, OrliczVector.indicator(s.K), s.K, 1, 8, epsilon=50.0)
         cell = rep.value(1, "series_1")
         assert str(got.value).startswith(f"cocycle series {cell} not below epsilon=50.0")
 
@@ -781,7 +788,7 @@ class TestWitness:
             epsilon=1e-2,
             n_max=64,
         )
-        return s, indicator(K0)
+        return s, OrliczVector.indicator(K0)
 
     def recursive_inverse_oracle(self, weight, m):
         # S^m of the unit mass at 0 sits at -m with value 1/(w(0)...w(-(m-1)))
@@ -850,8 +857,8 @@ class TestWitness:
         rep = check_disjoint_transitive(s)
         assert rep.verified
         n = rep.n_star
-        f = indicator(K)
-        gs = [indicator(K), indicator(K)]
+        f = OrliczVector.indicator(K)
+        gs = [OrliczVector.indicator(K), OrliczVector.indicator(K)]
         v = build_witness(s, f, gs, n, K)
         rho0, rhos = verify_witness(s, v, f, gs, n)
         ops = s.operators()
@@ -880,7 +887,7 @@ class TestPeriodicPoint:
         op = self.make_op()
         phi = PowerYoung(2.0)
         K = CompactSet.box(ZLINE, [-3], [3])
-        res = build_periodic_point(op, phi, indicator(K), K, 10, 20, epsilon=0.5)
+        res = build_periodic_point(op, phi, OrliczVector.indicator(K), K, 10, 20, epsilon=0.5)
         resid = (op.apply(res.point, 10) - res.point).luxemburg_norm(phi)
         assert resid <= res.tail_bound
         assert resid <= 1e-6
@@ -889,7 +896,7 @@ class TestPeriodicPoint:
         op = self.make_op()
         phi = PowerYoung(1.0)
         K = CompactSet.box(ZLINE, [0], [0])
-        f = indicator(K)
+        f = OrliczVector.indicator(K)
         res = build_periodic_point(op, phi, f, K, 5, 0)
         assert res.point == f
         resid = (op.apply(res.point, 5) - res.point).luxemburg_norm(phi)
@@ -905,20 +912,20 @@ class TestPeriodicPoint:
         op = self.make_op()
         K = CompactSet.box(ZLINE, [-3], [3])
         with pytest.raises(DisjointnessViolatedError):
-            build_periodic_point(op, PowerYoung(2.0), indicator(K), K, 1, 2)
+            build_periodic_point(op, PowerYoung(2.0), OrliczVector.indicator(K), K, 1, 2)
 
     def test_not_chaotic_at_n(self):
         op = self.make_op()
         K = CompactSet.box(ZLINE, [-3], [3])
         with pytest.raises(NotChaoticAtNError):
-            build_periodic_point(op, PowerYoung(2.0), indicator(K), K, 10, 20, epsilon=1e-9)
+            build_periodic_point(op, PowerYoung(2.0), OrliczVector.indicator(K), K, 10, 20, epsilon=1e-9)
 
     def test_overflowing_series_not_chaotic(self):
         # the forward cocycle 1e650 overflows: a series of inf, not a math range error
         op = WeightedTranslation(ZLINE, ZLINE.element([1]), ConstantWeight(1e10))
         K = CompactSet.box(ZLINE, [0], [0])
         with pytest.raises(NotChaoticAtNError, match="cocycle series inf"):
-            build_periodic_point(op, PowerYoung(2.0), indicator(K), K, 65, 1, epsilon=1.0)
+            build_periodic_point(op, PowerYoung(2.0), OrliczVector.indicator(K), K, 65, 1, epsilon=1.0)
 
 
 class TestReportShape:

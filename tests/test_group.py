@@ -94,6 +94,19 @@ class TestArithmetic:
         with pytest.raises(OffLatticeError):
             m.element([0.3])
 
+    def test_integer_coordinates_are_exact(self):
+        # a float quotient would round these to their even neighbours
+        assert ZLINE.element([2**53 + 1]).units == (2**53 + 1,)
+        assert HEIS.element([0, 0, 2**70 + 1]).units == (0, 0, 2**70 + 1)
+        assert GroupModel.int_lattice(2).element([-(2**64) - 1, 3]).units == (-(2**64) - 1, 3)
+        assert GroupModel.lattice_line(0.5).element([2**60 + 1]).units == (2**61 + 2,)
+        assert GroupModel.lattice_line(0.1).element([10**20 + 1]).units == (10**21 + 10,)
+        m = GroupModel.heisenberg_lattice(0.25)
+        assert m.element([1, -2, 2**62 + 1]).units == (4, -8, 2**64 + 4)
+        assert GroupModel.lattice_line(0.3).element([3]).units == (10,)
+        with pytest.raises(OffLatticeError):
+            GroupModel.lattice_line(0.3).element([1])
+
     def test_heisenberg_lattice_twist_exactness(self):
         m = GroupModel.heisenberg_lattice(0.5)
         ok = m.element_units([3, 2, 1])  # y even: twist x*y'*h stays integral
@@ -153,6 +166,17 @@ class TestCompactSets:
         assert [e.units for e in K] == [(x, 0, z) for x in (-1, 0, 1) for z in zs]
         assert HEIS.element_units((0, 0, big)) in K
         assert HEIS.element_units((0, 0, big + 1)) not in K
+
+    def test_integer_box_bounds_are_exact(self):
+        K = CompactSet.box(ZLINE, [2**64 + 1], [2**64 + 3])
+        assert K.units[:, 0].tolist() == [2**64 + 1, 2**64 + 2, 2**64 + 3]
+        K = CompactSet.box(GroupModel.lattice_line(0.5), [2**60 + 1], [2**60 + 2])
+        assert K.units[:, 0].tolist() == list(range(2**61 + 2, 2**61 + 5))
+        K = CompactSet.box(HEIS, [0, 0, 2**70 + 1], [0, 0, 2**70 + 1])
+        assert [e.units for e in K] == [(0, 0, 2**70 + 1)]
+        # h = 0.3 reads as 3/10, so the bounds are -10/3 and 10/3 units
+        K = CompactSet.box(GroupModel.lattice_line(0.3), [-1], [1])
+        assert K.units[:, 0].tolist() == [-3, -2, -1, 0, 1, 2, 3]
 
     def test_from_elements_sorts_and_drops_repeats(self):
         rng = np.random.default_rng(6)
@@ -468,7 +492,7 @@ class TestRowIndex:
 HASH_SEED_PROBE = """
 import json
 from orliczdyn.group import CompactSet, GroupError, GroupModel, aperiodicity_bound
-from orliczdyn.orlicz import indicator
+from orliczdyn.orlicz import OrliczVector
 from orliczdyn.young import PowerYoung
 
 model = GroupModel.heisenberg_lattice(1 / 3)
@@ -484,7 +508,7 @@ K = CompactSet.box(heis, [-3] * 3, [3] * 3)
 print(json.dumps({
     "message": message,
     "order": [e.units for e in K],
-    "norm": indicator(K).luxemburg_norm(PowerYoung(2.0)).hex(),
+    "norm": OrliczVector.indicator(K).luxemburg_norm(PowerYoung(2.0)).hex(),
 }))
 """
 

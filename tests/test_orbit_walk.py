@@ -19,7 +19,7 @@ from orliczdyn.dynamics import (
     check_chaotic,
 )
 from orliczdyn.group import CompactSet, GroupError, GroupModel, OffLatticeError, _h_fraction
-from orliczdyn.orlicz import OrliczVector, indicator
+from orliczdyn.orlicz import OrliczVector
 from orliczdyn.translation import (
     ClampExpWeight,
     ConstantWeight,
@@ -100,8 +100,8 @@ def test_periodic_point_on_a_box_matches_reference():
     op = WeightedTranslation(model, model.element([1, 0, 2]), weights(model)["clamp_exp"])
     K = CompactSet.box(model, [-1, -1, -1], [1, 1, 1])
     for n, t_max in [(3, 5), (8, 12)]:
-        got = build_periodic_point(op, PHI, indicator(K), K, n, t_max, epsilon=10.0)
-        want = reference.build_periodic_point(op, PHI, indicator(K), K, n, t_max, epsilon=10.0)
+        got = build_periodic_point(op, PHI, OrliczVector.indicator(K), K, n, t_max, epsilon=10.0)
+        want = reference.build_periodic_point(op, PHI, OrliczVector.indicator(K), K, n, t_max, epsilon=10.0)
         assert bits(got.point) == bits(want.point)
         assert got.tail_bound.hex() == want.tail_bound.hex()
 
@@ -192,8 +192,8 @@ def test_underflow_to_zero_leaves_the_support():
     tiny = TableWeight({(1,): 1e-200, (2,): 1e-200}, default=1.0)
     op = WeightedTranslation(model, model.element([1]), tiny)
     E = CompactSet.from_elements(model, [model.element([0]), model.element([10])])
-    got = build_periodic_point(op, PHI, indicator(E), E, 1, 4)
-    want = reference.build_periodic_point(op, PHI, indicator(E), E, 1, 4)
+    got = build_periodic_point(op, PHI, OrliczVector.indicator(E), E, 1, 4)
+    want = reference.build_periodic_point(op, PHI, OrliczVector.indicator(E), E, 1, 4)
     assert bits(got.point) == bits(want.point)
     assert got.tail_bound.hex() == want.tail_bound.hex()
     assert model.element([1]) in got.point.support
@@ -204,11 +204,11 @@ def test_periodic_point_whose_forward_tail_underflows():
     model = GroupModel.int_line()
     op = WeightedTranslation(model, model.element([1]), ConstantWeight(1e-200))
     E = CompactSet.from_elements(model, [model.element([0])])
-    got = build_periodic_point(op, PHI, indicator(E), E, 1, 1)
-    want = reference.build_periodic_point(op, PHI, indicator(E), E, 1, 1)
+    got = build_periodic_point(op, PHI, OrliczVector.indicator(E), E, 1, 1)
+    want = reference.build_periodic_point(op, PHI, OrliczVector.indicator(E), E, 1, 1)
     assert bits(got.point) == bits(want.point)
     # T^2 chi_E underflows to 0.0, so only S chi_E (1e200 at -1) is left
-    assert got.tail_bound == want.tail_bound == op.apply_inv(indicator(E)).luxemburg_norm(PHI)
+    assert got.tail_bound == want.tail_bound == op.apply_inv(OrliczVector.indicator(E)).luxemburg_norm(PHI)
 
 
 def test_heisenberg_lattice_twist_raises_where_the_loop_does():
@@ -238,7 +238,7 @@ def test_disjointness_fires_at_the_same_n_and_t_max():
     model = GroupModel.int_line()
     op = WeightedTranslation(model, model.element([1]), ClampExpWeight(2.0, 0, -1.0, 1.0))
     E = CompactSet.from_elements(model, [model.element([0]), model.element([6])])
-    f = indicator(E)
+    f = OrliczVector.indicator(E)
     fired = []
     for n in range(1, 8):
         for t_max in range(0, 6):
@@ -382,9 +382,9 @@ def test_not_chaotic_at_n_matches_reference():
     K = CompactSet.box(model, [-1, -1, -1], [1, 1, 1])
     for n, t_max in [(2, 20), (9, 8)]:  # series terms below and past 64 factors
         with pytest.raises(NotChaoticAtNError) as want:
-            reference.build_periodic_point(op, PHI, indicator(K), K, n, t_max, epsilon=1e-9)
+            reference.build_periodic_point(op, PHI, OrliczVector.indicator(K), K, n, t_max, epsilon=1e-9)
         with pytest.raises(NotChaoticAtNError) as got:
-            build_periodic_point(op, PHI, indicator(K), K, n, t_max, epsilon=1e-9)
+            build_periodic_point(op, PHI, OrliczVector.indicator(K), K, n, t_max, epsilon=1e-9)
         # both tails certified, so the reference prints the series it compared;
         # the table engine sums exp(log sums), the reference products: ~1 ulp apart
         assert math.isfinite(worst_of(want.value))
@@ -401,7 +401,7 @@ def test_not_chaotic_decision_matches_reference(model, name):
     E = CompactSet.from_elements(
         model, [model.element_units([u] + [0] * (model.dim - 1)) for u in (-1, 0, 1)]
     )
-    f = indicator(E)
+    f = OrliczVector.indicator(E)
     for n, t_max in [(1, 8), (2, 20), (7, 12), (9, 8), (65, 2)]:
         worst = max(reference.series_bound(op, n, t_max, x) for x in E)
         cases = [(worst * (1 - 1e-9), True), (worst * (1 + 1e-9), False)]
@@ -451,10 +451,10 @@ def test_periodic_epsilon_is_the_chaotic_series_cell(model, name):
         epsilons = [cell * (1 - 1e-9), cell, cell * (1 + 1e-9), sys.float_info.max]
         for epsilon in epsilons if math.isfinite(cell) else epsilons[-1:]:
             if certified and cell < epsilon:
-                build_periodic_point(op, PHI, indicator(E), E, n, t_max, epsilon=epsilon)
+                build_periodic_point(op, PHI, OrliczVector.indicator(E), E, n, t_max, epsilon=epsilon)
                 continue
             with pytest.raises(NotChaoticAtNError) as got:
-                build_periodic_point(op, PHI, indicator(E), E, n, t_max, epsilon=epsilon)
+                build_periodic_point(op, PHI, OrliczVector.indicator(E), E, n, t_max, epsilon=epsilon)
             assert worst_of(got.value) == cell
             assert ("not certified" in str(got.value)) == (not certified)
 

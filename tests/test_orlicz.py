@@ -5,7 +5,7 @@ import pytest
 
 from samples import ALL_MODELS, random_element, random_vector
 from orliczdyn.group import CompactSet, GroupModel, ModelMismatchError
-from orliczdyn.orlicz import OrliczVector, indicator
+from orliczdyn.orlicz import OrliczVector
 from orliczdyn.translation import ConstantWeight, WeightedTranslation
 from orliczdyn.young import CustomYoung, OutOfGridError, PowerLogYoung, PowerYoung
 
@@ -15,8 +15,34 @@ P1 = PowerYoung(1.0)
 P2 = PowerYoung(2.0)
 
 
+# every convex family on a unit-mass and a half-mass model; PowerLogYoung is
+# convex from alpha = (3 + sqrt 5)/2 on.  The grid covers every |value| <= 6
+# of the vectors below (sums of two values in [-3, 3]).
+CONVEX_YOUNGS = [
+    P1,
+    PowerYoung(3.5),
+    PowerLogYoung((3.0 + math.sqrt(5.0)) / 2.0),
+    PowerLogYoung(3.0),
+    CustomYoung([(t, t**3 / 3.0) for t in np.linspace(0.0, 8.0, 33)]),
+]
+HALF_LINE = GroupModel.lattice_line(0.5)
+NORM_AXIOM_CASES = [(ZLINE, phi) for phi in CONVEX_YOUNGS] + [
+    (HALF_LINE, phi) for phi in CONVEX_YOUNGS + [P2]
+]
+
+
 def chi(*points):
     return OrliczVector(ZLINE, {ZLINE.element([p]): 1.0 for p in points})
+
+
+def _dominated_pair(model, rng):
+    """f and a g with |f| <= |g| pointwise."""
+    f = random_vector(model, rng)
+    bump = random_vector(model, rng)
+    g_entries = {x: abs(v) for x, v in f.items()}
+    for x, v in bump.items():
+        g_entries[x] = g_entries.get(x, 0.0) + abs(v)
+    return f, OrliczVector(model, g_entries)
 
 
 class TestModular:
@@ -67,7 +93,7 @@ class TestLuxemburgNorm:
     def test_indicator_norm_formula(self):
         K = CompactSet.box(ZLINE, [0], [5])
         expect = math.sqrt(3.0)  # 1 / phi^-1(1/6) for phi = t^2/2
-        assert abs(indicator(K).luxemburg_norm(P2) - expect) <= 1e-9
+        assert abs(OrliczVector.indicator(K).luxemburg_norm(P2) - expect) <= 1e-9
 
     def test_indicator_norm_formula_random(self):
         rng = np.random.default_rng(42)
@@ -75,7 +101,7 @@ class TestLuxemburgNorm:
             for _ in range(25):
                 pts = {int(p) for p in rng.integers(-40, 40, size=rng.integers(1, 25))}
                 K = CompactSet.from_elements(ZLINE, [ZLINE.element([p]) for p in pts])
-                lhs = indicator(K).luxemburg_norm(phi)
+                lhs = OrliczVector.indicator(K).luxemburg_norm(phi)
                 rhs = 1.0 / phi.inverse(1.0 / K.measure)
                 assert abs(lhs - rhs) <= 1e-9
 
@@ -106,17 +132,22 @@ class TestLuxemburgNorm:
             f = random_vector(ZLINE, rng)
             g = random_vector(ZLINE, rng)
             assert (f + g).luxemburg_norm(P2) <= f.luxemburg_norm(P2) + g.luxemburg_norm(P2) + 1e-9
+        for model, phi in NORM_AXIOM_CASES:
+            for _ in range(100):
+                f = random_vector(model, rng)
+                g = random_vector(model, rng)
+                rhs = f.luxemburg_norm(phi) + g.luxemburg_norm(phi)
+                assert (f + g).luxemburg_norm(phi) <= rhs * (1.0 + 1e-12), (model, phi)
 
     def test_monotonicity(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            f = random_vector(ZLINE, rng)
-            bump = random_vector(ZLINE, rng)
-            g_entries = {x: abs(v) for x, v in f.items()}
-            for x, v in bump.items():
-                g_entries[x] = g_entries.get(x, 0.0) + abs(v)
-            g = OrliczVector(ZLINE, g_entries)
+            f, g = _dominated_pair(ZLINE, rng)
             assert f.luxemburg_norm(P2) <= g.luxemburg_norm(P2) + 1e-12
+        for model, phi in NORM_AXIOM_CASES:
+            for _ in range(100):
+                f, g = _dominated_pair(model, rng)
+                assert f.luxemburg_norm(phi) <= g.luxemburg_norm(phi) * (1.0 + 1e-12), (model, phi)
 
     def test_norm_zero_iff_zero_vector(self):
         f = chi(0, 3)
@@ -179,9 +210,9 @@ class TestVectorOps:
 
     def test_indicator(self):
         K = CompactSet.box(ZLINE, [-1], [1])
-        f = indicator(K)
+        f = OrliczVector.indicator(K)
         assert len(f) == 3 and all(v == 1.0 for _, v in f.items())
-        assert indicator(CompactSet.box(ZLINE, [1], [0])).is_zero()
+        assert OrliczVector.indicator(CompactSet.box(ZLINE, [1], [0])).is_zero()
 
     def test_canonical_zero_dropping(self):
         f = OrliczVector(ZLINE, {ZLINE.element([0]): 1.0, ZLINE.element([1]): 0.0})
